@@ -82,7 +82,7 @@ BENCHMARK(BM_StencilSweepFused)
 
 /// Variable-coefficient sweep (docs/SCENARIOS.md): per-cell coefficients
 /// from the compacted CoeffCache (solid-body rotation dedups to ny rows),
-/// accumulated through stencil_var_point. Tracks the cost ratio against
+/// through the blocked apply_stencil_var_row. Tracks the cost ratio against
 /// the constant-table BM_StencilSweep at the same n.
 void BM_StencilSweepVar(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));

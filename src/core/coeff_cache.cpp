@@ -1,6 +1,9 @@
 #include "core/coeff_cache.hpp"
 
 #include <cassert>
+#include <cstdint>
+
+#include "core/stencil.hpp"
 
 namespace advect::core {
 
@@ -32,33 +35,33 @@ CoeffCache::CoeffCache(const CoeffField& cf, Extents3 local, Index3 origin)
             : (by_j ? static_cast<std::size_t>(ny_)
                     : static_cast<std::size_t>(ny_) * nz_);
     std::vector<std::int32_t> by_key(keys, -1);
+    // Every key gets exactly one row. Row 0 starts on a 64-byte boundary, so
+    // the row kernel's 4-wide coefficient loads split no cache line when nx
+    // and xlo are multiples of 4 (the common whole-row sweep).
+    constexpr std::size_t kLine = 64 / sizeof(double);
+    pool_.assign(keys * row_stride_ + kLine - 1, 0.0);
+    base_ = (kLine - reinterpret_cast<std::uintptr_t>(pool_.data()) /
+                         sizeof(double) % kLine) %
+            kLine;
     for (int k = 0; k < nz_; ++k)
         for (int j = 0; j < ny_; ++j) {
             const std::size_t key =
                 cst ? 0
                     : (by_j ? static_cast<std::size_t>(j) : idx(j, k));
             if (by_key[key] < 0) {
-                by_key[key] = static_cast<std::int32_t>(distinct_rows());
-                const std::size_t base = pool_.size();
-                pool_.resize(base + row_stride_);
+                by_key[key] = static_cast<std::int32_t>(rows_);
+                const std::size_t base = base_ + rows_++ * row_stride_;
                 for (int i = 0; i < nx_; ++i) {
                     const StencilCoeffs a =
                         cf.at(origin.i + i, origin.j + j, origin.k + k);
                     for (int t = 0; t < 27; ++t)
-                        pool_[base + static_cast<std::size_t>(i) * 27 +
-                              static_cast<std::size_t>(t)] =
+                        pool_[base + static_cast<std::size_t>(t) * nx_ +
+                              static_cast<std::size_t>(i)] =
                             a.a[static_cast<std::size_t>(t)];
                 }
             }
             row_id_[idx(j, k)] = by_key[key];
         }
-}
-
-void apply_stencil_var_row(const double* row, const double* in, double* out,
-                           int count, std::ptrdiff_t sj, std::ptrdiff_t sk) {
-    for (int x = 0; x < count; ++x)
-        out[x] = stencil_var_point(row + static_cast<std::size_t>(x) * 27,
-                                   in + x, sj, sk);
 }
 
 void apply_stencil_var_rows(const CoeffCache& cache, const Field3& in,
@@ -68,10 +71,10 @@ void apply_stencil_var_rows(const CoeffCache& cache, const Field3& in,
     const std::ptrdiff_t sk = in.xy_stride();
     rows.for_each_row(lo, hi, [&](const RowSpace::Row& r) {
         assert(r.xlo >= 0 && r.xhi <= cache.nx());
-        apply_stencil_var_row(
-            cache.row(r.j, r.k) + static_cast<std::size_t>(r.xlo) * 27,
-            in.ptr(r.xlo, r.j, r.k), out.ptr(r.xlo, r.j, r.k),
-            r.xhi - r.xlo, sj, sk);
+        apply_stencil_var_row(cache.row(r.j, r.k) + r.xlo,
+                              cache.term_stride(), in.ptr(r.xlo, r.j, r.k),
+                              out.ptr(r.xlo, r.j, r.k), r.xhi - r.xlo, sj,
+                              sk);
     });
 }
 

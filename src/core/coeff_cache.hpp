@@ -23,12 +23,19 @@
 /// with (x, y) only, so rows repeat across k and the pool holds ny rows;
 /// Deformational needs (j, k)-distinct rows.
 ///
-/// Bitwise contract: every consumer — reference loop, threaded row sweeps,
-/// team stages, simulated-GPU tiles — evaluates cells through the same
-/// `CoeffField::at` and accumulates through the same `stencil_var_point`
-/// (t = 0..26 in StencilCoeffs::index order into 0.0), so variable-
-/// coefficient runs are bitwise implementation-invariant exactly like the
-/// constant path.
+/// Each cached row is stored *term-major*: coefficient t of cell i at
+/// row[t*nx + i], so term t of adjacent cells is one contiguous vector load;
+/// the rows start on a 64-byte boundary.
+/// The consumer is the blocked row kernel `apply_stencil_var_row`
+/// (stencil.hpp), which every path calls — reference loop, threaded row
+/// sweeps, team stages, simulated-GPU kernel.
+///
+/// Bitwise contract: every cell's coefficients come from the same
+/// `CoeffField::at`, and the row kernel's per-cell arithmetic is exactly
+/// `stencil_var_point` (t = 0..26 in StencilCoeffs::index order into 0.0),
+/// the reference the tests hold it to. Variable-coefficient runs are
+/// therefore bitwise implementation-invariant exactly like the constant
+/// path.
 
 #include <cstdint>
 #include <vector>
@@ -55,8 +62,8 @@ struct CoeffField {
     [[nodiscard]] StencilCoeffs at(int gi, int gj, int gk) const;
 };
 
-/// Compacted per-rank coefficient table: one 27-per-cell row of doubles per
-/// *distinct* x-row of the local block, with an index from (j, k) to the
+/// Compacted per-rank coefficient table: one term-major row of 27*nx doubles
+/// per *distinct* x-row of the local block, with an index from (j, k) to the
 /// shared row. Built once per rank at setup time.
 class CoeffCache {
   public:
@@ -64,18 +71,17 @@ class CoeffCache {
     /// Rows for a local block of extents `local` at global origin `origin`.
     CoeffCache(const CoeffField& cf, Extents3 local, Index3 origin);
 
-    /// Coefficients of local row (j, k): nx cells of 27 doubles each, cell
-    /// i's coefficients at [i*27, i*27+27) in StencilCoeffs::index order.
+    /// Coefficients of local row (j, k), term-major: term t (in
+    /// StencilCoeffs::index order) of cell i at [t*term_stride() + i].
     [[nodiscard]] const double* row(int j, int k) const {
-        return pool_.data() +
+        return pool_.data() + base_ +
                static_cast<std::size_t>(row_id_[idx(j, k)]) * row_stride_;
     }
     [[nodiscard]] int nx() const { return nx_; }
+    /// Distance between consecutive terms of one cell in a row (= nx).
+    [[nodiscard]] std::ptrdiff_t term_stride() const { return nx_; }
     /// Number of distinct rows actually stored (compaction diagnostics).
-    [[nodiscard]] std::size_t distinct_rows() const {
-        return row_stride_ ? pool_.size() / row_stride_ : 0;
-    }
-    [[nodiscard]] bool empty() const { return pool_.empty(); }
+    [[nodiscard]] std::size_t distinct_rows() const { return rows_; }
 
   private:
     [[nodiscard]] std::size_t idx(int j, int k) const {
@@ -86,14 +92,18 @@ class CoeffCache {
     std::vector<double> pool_;          // distinct rows, back to back
     std::vector<std::int32_t> row_id_;  // (j, k) -> row index into pool_
     std::size_t row_stride_ = 0;        // doubles per row = 27 * nx
+    std::size_t base_ = 0;  // offset of row 0 in pool_: a 64-byte boundary
+                            // (a copy keeps the values, not the alignment)
+    std::size_t rows_ = 0;  // distinct rows stored
     int nx_ = 0, ny_ = 0, nz_ = 0;
 };
 
 /// The variable-coefficient reference arithmetic: 27 products accumulated
 /// into 0.0 in StencilCoeffs::index order (di fastest, dk slowest — the
 /// same order as the constant-path stencil_point). `a` holds the cell's 27
-/// coefficients, `c` points at the cell in the padded input layout with row
-/// stride `sj` and plane stride `sk` doubles.
+/// coefficients contiguously, `c` points at the cell in the padded input
+/// layout with row stride `sj` and plane stride `sk` doubles. The row
+/// kernel apply_stencil_var_row must match it bit for bit per cell.
 [[nodiscard]] inline double stencil_var_point(const double* a, const double* c,
                                               std::ptrdiff_t sj,
                                               std::ptrdiff_t sk) {
@@ -106,11 +116,6 @@ class CoeffCache {
         }
     return acc;
 }
-
-/// One x-contiguous row of `count` cells: out[x] = stencil_var_point of
-/// cell x with coefficients row[x*27 ..]. `in` points at the first cell.
-void apply_stencil_var_row(const double* row, const double* in, double* out,
-                           int count, std::ptrdiff_t sj, std::ptrdiff_t sk);
 
 /// Variable-coefficient analogue of apply_stencil_rows: rows [lo, hi) of
 /// `rows`, coefficients from `cache` (rows may start at xlo > 0; the cache

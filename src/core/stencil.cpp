@@ -48,63 +48,34 @@ namespace detail {
 #define ADVECT_ROW_KERNEL_NAME apply_stencil_row_portable
 #define ADVECT_PLANE_KERNEL_NAME apply_stencil_plane_portable
 #define ADVECT_CHAIN_KERNEL_NAME apply_stencil_chain_portable
+#define ADVECT_VAR_ROW_KERNEL_NAME apply_stencil_var_row_portable
 #include "core/stencil_row_kernel.inc"
+#undef ADVECT_VAR_ROW_KERNEL_NAME
 #undef ADVECT_CHAIN_KERNEL_NAME
 #undef ADVECT_PLANE_KERNEL_NAME
 #undef ADVECT_ROW_KERNEL_NAME
 
 #ifdef ADVECT_HAVE_ROW_KERNEL_V3
 // AVX2 builds of the same bodies, from stencil_row_v3.cpp.
-void apply_stencil_row_v3(const StencilPlan& plan, const double* __restrict__,
-                          double* __restrict__, int n);
-void apply_stencil_plane_v3(const StencilPlan& plan,
-                            const double* __restrict__, double* __restrict__,
-                            int n, int rows, std::ptrdiff_t in_stride,
-                            std::ptrdiff_t out_stride);
-void apply_stencil_chain_v3(const StencilPlan& plan, int depth,
-                            const double* __restrict__, double* __restrict__,
-                            int n, int rows, std::ptrdiff_t in_stride,
-                            std::ptrdiff_t out_stride);
+decltype(apply_stencil_row_portable) apply_stencil_row_v3;
+decltype(apply_stencil_plane_portable) apply_stencil_plane_v3;
+decltype(apply_stencil_chain_portable) apply_stencil_chain_v3;
+decltype(apply_stencil_var_row_portable) apply_stencil_var_row_v3;
+#define ADVECT_RESOLVE(name) \
+    (__builtin_cpu_supports("avx2") ? name##_v3 : name##_portable)
+#else
+#define ADVECT_RESOLVE(name) name##_portable
 #endif
-
-using RowKernelFn = void (*)(const StencilPlan&, const double* __restrict__,
-                             double* __restrict__, int);
-using PlaneKernelFn = void (*)(const StencilPlan&, const double* __restrict__,
-                               double* __restrict__, int, int, std::ptrdiff_t,
-                               std::ptrdiff_t);
-using ChainKernelFn = void (*)(const StencilPlan&, int,
-                               const double* __restrict__,
-                               double* __restrict__, int, int, std::ptrdiff_t,
-                               std::ptrdiff_t);
-
-RowKernelFn resolve_row_kernel() {
-#ifdef ADVECT_HAVE_ROW_KERNEL_V3
-    if (__builtin_cpu_supports("avx2")) return apply_stencil_row_v3;
-#endif
-    return apply_stencil_row_portable;
-}
-
-PlaneKernelFn resolve_plane_kernel() {
-#ifdef ADVECT_HAVE_ROW_KERNEL_V3
-    if (__builtin_cpu_supports("avx2")) return apply_stencil_plane_v3;
-#endif
-    return apply_stencil_plane_portable;
-}
-
-ChainKernelFn resolve_chain_kernel() {
-#ifdef ADVECT_HAVE_ROW_KERNEL_V3
-    if (__builtin_cpu_supports("avx2")) return apply_stencil_chain_v3;
-#endif
-    return apply_stencil_chain_portable;
-}
 
 // Resolved once at load time; dispatch cost is one indirect call per row.
-const RowKernelFn row_kernel = resolve_row_kernel();
-const PlaneKernelFn plane_kernel = resolve_plane_kernel();
-const ChainKernelFn chain_kernel = resolve_chain_kernel();
+const auto row_kernel = ADVECT_RESOLVE(apply_stencil_row);
+const auto plane_kernel = ADVECT_RESOLVE(apply_stencil_plane);
+const auto chain_kernel = ADVECT_RESOLVE(apply_stencil_chain);
+const auto var_row_kernel = ADVECT_RESOLVE(apply_stencil_var_row);
+#undef ADVECT_RESOLVE
 
 bool row_kernel_is_vectorized() {
-    return row_kernel != static_cast<RowKernelFn>(apply_stencil_row_portable);
+    return row_kernel != &apply_stencil_row_portable;
 }
 
 }  // namespace detail
@@ -128,6 +99,12 @@ void apply_stencil_chain_ptr(const StencilPlan& plan, int depth,
     assert(plan.terms == 1);
     assert(depth >= 1);
     detail::chain_kernel(plan, depth, in, out, n, rows, in_stride, out_stride);
+}
+
+void apply_stencil_var_row(const double* coeff, std::ptrdiff_t term_stride,
+                           const double* in, double* out, int n,
+                           std::ptrdiff_t sj, std::ptrdiff_t sk) {
+    detail::var_row_kernel(coeff, term_stride, in, out, n, sj, sk);
 }
 
 

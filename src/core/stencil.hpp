@@ -91,6 +91,18 @@ void apply_stencil_chain_ptr(const StencilPlan& plan, int depth,
                              std::ptrdiff_t in_stride,
                              std::ptrdiff_t out_stride);
 
+/// Variable-coefficient row kernel: for each x in [0, n), out[x] = the 27
+/// products coeff[t*term_stride + x] * in[x + d_t] accumulated into 0.0 in
+/// StencilCoeffs::index order, where d_t = di + dj*sj + dk*sk —
+/// bitwise-identical to core::stencil_var_point (coeff_cache.hpp) per cell.
+/// The coefficients are term-major (CoeffCache's row layout): term t of the
+/// n cells is contiguous. `in` points at the first cell in a padded layout
+/// with row stride `sj` and plane stride `sk` doubles. Same blocking, clones
+/// and load-time dispatch as apply_stencil_row_ptr.
+void apply_stencil_var_row(const double* coeff, std::ptrdiff_t term_stride,
+                           const double* in, double* out, int n,
+                           std::ptrdiff_t sj, std::ptrdiff_t sk);
+
 namespace detail {
 
 /// Portable baseline build of the row kernel — always available, and the
@@ -99,6 +111,13 @@ namespace detail {
 void apply_stencil_row_portable(const StencilPlan& plan,
                                 const double* __restrict__ in,
                                 double* __restrict__ out, int n);
+
+/// Portable baseline build of apply_stencil_var_row, for the same tests.
+void apply_stencil_var_row_portable(const double* __restrict__ coeff,
+                                    std::ptrdiff_t term_stride,
+                                    const double* __restrict__ in,
+                                    double* __restrict__ out, int n,
+                                    std::ptrdiff_t sj, std::ptrdiff_t sk);
 
 /// True when apply_stencil_row_ptr dispatches to the AVX2 clone on this
 /// host (clone built in AND CPU supports it); false means the dispatched

@@ -247,13 +247,13 @@ void launch_stencil_var(gpu::Stream& stream, const DeviceField& in,
         for (int k = region.lo.k; k < region.hi.k; ++k)
             for (int j = region.lo.j; j < region.hi.j; ++j) {
                 const int cx = region.hi.i - region.lo.i;
-                const double* row = c->row(j, k) +
-                                    static_cast<std::size_t>(region.lo.i) * 27;
+                const double* row = c->row(j, k) + region.lo.i;
                 const double* in_row =
                     src.data() + in_layout.offset(region.lo.i, j, k);
                 double* out_row =
                     dst.data() + in_layout.offset(region.lo.i, j, k);
-                core::apply_stencil_var_row(row, in_row, out_row, cx, sj, sk);
+                core::apply_stencil_var_row(row, c->term_stride(), in_row,
+                                            out_row, cx, sj, sk);
                 if (msrc.active())
                     core::add_source_plane(out_row, 0, cx, 1,
                                            msrc.origin.i + region.lo.i,

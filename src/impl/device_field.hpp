@@ -103,8 +103,9 @@ void launch_stencil_fused(gpu::Stream& stream, gpu::Device& device,
                           int fuse, const GpuSource& src = {});
 
 /// Launch the variable-coefficient stencil kernel over `region`: each cell
-/// reads its 27 coefficients from the per-rank cache and accumulates through
-/// core::stencil_var_point, bitwise-identical to the CPU variable path. No
+/// reads its 27 coefficients from the per-rank cache through the same
+/// core::apply_stencil_var_row as the CPU variable path, so it is
+/// bitwise-identical to it (and to core::stencil_var_point per cell). No
 /// shared-memory tiling: the per-cell coefficient stream (27 doubles/cell)
 /// dominates traffic, so the constant path's tile reuse does not apply.
 /// `cache` is captured by pointer — it is built once at rank setup and

@@ -182,7 +182,7 @@ TEST(BoundaryParity, OpenBoundariesMatchReferenceUnfused) {
 }
 
 // Contract 2b: variable coefficients are implementation-invariant (host
-// rows, TeamStages drains, and the device kernel share stencil_var_point,
+// rows, TeamStages drains, and the device kernel share apply_stencil_var_row,
 // so the sum order is identical everywhere).
 TEST(BoundaryParity, VariableCoefficientsMatchReference) {
     for (const auto kind : {core::VelocityKind::SolidBodyRotation,

@@ -188,7 +188,7 @@ TEST(CoeffCache, RowsMatchEvaluatorBitwiseIncludingOrigin) {
                 const core::StencilCoeffs want =
                     cf.at(origin.i + i, origin.j + j, origin.k + k);
                 for (int t = 0; t < 27; ++t)
-                    EXPECT_EQ(row[i * 27 + t], want.a[t])
+                    EXPECT_EQ(row[t * cache.term_stride() + i], want.a[t])
                         << i << "," << j << "," << k << " t=" << t;
             }
         }
