@@ -63,45 +63,39 @@ HaloPlan HaloPlan::make(Extents3 n, int depth) {
     return p;
 }
 
-namespace {
-
-/// True when `region` spans the full padded xy extent of `f`, i.e. each of
-/// its k planes is one contiguous block of xy_stride() doubles.
-bool spans_padded_plane(const Field3& f, const Range3& region) {
-    const auto n = f.extents();
-    const int h = f.halo_width();
-    return region.lo.i == -h && region.hi.i == n.nx + h &&
-           region.lo.j == -h && region.hi.j == n.ny + h;
+void copy_box(const double* src, std::ptrdiff_t src_sj, std::ptrdiff_t src_sk,
+              double* dst, std::ptrdiff_t dst_sj, std::ptrdiff_t dst_sk,
+              Extents3 e) {
+    if (e.volume() == 0) return;
+    if (e.nx == 1) {
+        // x faces: one point per row; a strided scalar loop beats a memcpy
+        // call per element.
+        for (int k = 0; k < e.nz; ++k)
+            for (int j = 0; j < e.ny; ++j)
+                dst[j * dst_sj + k * dst_sk] = src[j * src_sj + k * src_sk];
+        return;
+    }
+    // Rows are x-contiguous in storage, so the copy is a memcpy per row, and
+    // a single one per plane when both sides hold the rows back to back (the
+    // z faces of the serialized exchange span the full padded xy extent).
+    std::size_t row = static_cast<std::size_t>(e.nx);
+    int rows = e.ny;
+    if (src_sj == e.nx && dst_sj == e.nx) {
+        row *= static_cast<std::size_t>(e.ny);
+        rows = 1;
+    }
+    for (int k = 0; k < e.nz; ++k)
+        for (int j = 0; j < rows; ++j)
+            std::memcpy(dst + j * dst_sj + k * dst_sk,
+                        src + j * src_sj + k * src_sk, row * sizeof(double));
 }
-
-}  // namespace
 
 void pack(const Field3& f, const Range3& region, std::span<double> out) {
     assert(out.size() >= region.volume());
     if (region.empty()) return;
-    double* dst = out.data();
-    // Rows are x-contiguous in storage, so pack is a memcpy per (j, k) row —
-    // and when the region covers the full padded xy extent (the z faces of
-    // the serialized exchange), a single memcpy per k plane.
-    if (spans_padded_plane(f, region)) {
-        const std::size_t plane = static_cast<std::size_t>(f.xy_stride());
-        const int h = f.halo_width();
-        for (int k = region.lo.k; k < region.hi.k; ++k, dst += plane)
-            std::memcpy(dst, f.ptr(-h, -h, k), plane * sizeof(double));
-        return;
-    }
-    const std::size_t row = static_cast<std::size_t>(region.hi.i - region.lo.i);
-    if (row == 1) {
-        // x faces: one point per row; a strided scalar loop beats a memcpy
-        // call per element.
-        for (int k = region.lo.k; k < region.hi.k; ++k)
-            for (int j = region.lo.j; j < region.hi.j; ++j)
-                *dst++ = f(region.lo.i, j, k);
-        return;
-    }
-    for (int k = region.lo.k; k < region.hi.k; ++k)
-        for (int j = region.lo.j; j < region.hi.j; ++j, dst += row)
-            std::memcpy(dst, f.ptr(region.lo.i, j, k), row * sizeof(double));
+    const auto e = region.extents();
+    copy_box(f.ptr(region.lo.i, region.lo.j, region.lo.k), f.x_stride(),
+             f.xy_stride(), out.data(), e.nx, std::ptrdiff_t{e.nx} * e.ny, e);
 }
 
 std::vector<double> pack(const Field3& f, const Range3& region) {
@@ -113,24 +107,10 @@ std::vector<double> pack(const Field3& f, const Range3& region) {
 void unpack(Field3& f, const Range3& region, std::span<const double> in) {
     assert(in.size() >= region.volume());
     if (region.empty()) return;
-    const double* src = in.data();
-    if (spans_padded_plane(f, region)) {
-        const std::size_t plane = static_cast<std::size_t>(f.xy_stride());
-        const int h = f.halo_width();
-        for (int k = region.lo.k; k < region.hi.k; ++k, src += plane)
-            std::memcpy(f.ptr(-h, -h, k), src, plane * sizeof(double));
-        return;
-    }
-    const std::size_t row = static_cast<std::size_t>(region.hi.i - region.lo.i);
-    if (row == 1) {
-        for (int k = region.lo.k; k < region.hi.k; ++k)
-            for (int j = region.lo.j; j < region.hi.j; ++j)
-                f(region.lo.i, j, k) = *src++;
-        return;
-    }
-    for (int k = region.lo.k; k < region.hi.k; ++k)
-        for (int j = region.lo.j; j < region.hi.j; ++j, src += row)
-            std::memcpy(f.ptr(region.lo.i, j, k), src, row * sizeof(double));
+    const auto e = region.extents();
+    copy_box(in.data(), e.nx, std::ptrdiff_t{e.nx} * e.ny,
+             f.ptr(region.lo.i, region.lo.j, region.lo.k), f.x_stride(),
+             f.xy_stride(), e);
 }
 
 void fill_periodic_halo_dim(Field3& f, int dim, int depth) {

@@ -44,6 +44,17 @@ struct HaloPlan {
     }
 };
 
+/// Copy an `e.nx` x `e.ny` x `e.nz` box of x rows between two strided
+/// layouts: row (j, k) starts `j * sj + k * sk` doubles past `src` (with the
+/// source strides) and past `dst` (with the destination strides). Rows move
+/// by one memcpy each, one per plane when both layouts hold the rows back to
+/// back, and point by point when they are one point long (x faces). The
+/// boxes must not overlap. pack/unpack and the simulated device's staging
+/// and halo kernels all move data through this.
+void copy_box(const double* src, std::ptrdiff_t src_sj, std::ptrdiff_t src_sk,
+              double* dst, std::ptrdiff_t dst_sj, std::ptrdiff_t dst_sk,
+              Extents3 e);
+
 /// Copy `region` of `f` into a flat buffer, x fastest then y then z.
 void pack(const Field3& f, const Range3& region, std::span<double> out);
 [[nodiscard]] std::vector<double> pack(const Field3& f, const Range3& region);

@@ -17,6 +17,11 @@ double stencil_point(const StencilCoeffs& a, const Field3& in, int i, int j,
 
 StencilPlan StencilPlan::make(const StencilCoeffs& a, std::ptrdiff_t x_stride,
                               std::ptrdiff_t xy_stride) {
+    return make(a, x_stride, {-xy_stride, 0, xy_stride});
+}
+
+StencilPlan StencilPlan::make(const StencilCoeffs& a, std::ptrdiff_t x_stride,
+                              const std::array<std::ptrdiff_t, 3>& plane) {
     StencilPlan p;
     // StencilCoeffs::index(di, dj, dk) flattens di fastest, dk slowest —
     // the same order as the reference summation — so the coefficient array
@@ -30,7 +35,7 @@ StencilPlan StencilPlan::make(const StencilCoeffs& a, std::ptrdiff_t x_stride,
                 assert(static_cast<int>(t) == StencilCoeffs::index(di, dj, dk));
                 if (a.a[t] == 0.0) continue;
                 p.coeff[kept] = a.a[t];
-                p.offset[kept] = di + dj * x_stride + dk * xy_stride;
+                p.offset[kept] = di + dj * x_stride + plane[dk + 1];
                 ++kept;
             }
     p.terms = kept;

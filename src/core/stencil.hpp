@@ -52,6 +52,12 @@ struct StencilPlan {
     [[nodiscard]] static StencilPlan make(const StencilCoeffs& a,
                                           std::ptrdiff_t x_stride,
                                           std::ptrdiff_t xy_stride);
+    /// Plan whose dk = -1, 0, +1 planes sit `plane[dk + 1]` doubles from
+    /// the centre point's plane: any three planes, such as the rotating
+    /// shared-memory tile planes of the simulated device.
+    [[nodiscard]] static StencilPlan make(
+        const StencilCoeffs& a, std::ptrdiff_t x_stride,
+        const std::array<std::ptrdiff_t, 3>& plane);
     /// Plan for the padded layout of `shape`.
     [[nodiscard]] static StencilPlan make(const StencilCoeffs& a,
                                           const Field3& shape);

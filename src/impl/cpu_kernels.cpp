@@ -96,12 +96,9 @@ void copy_parallel(omp::ThreadTeam& team, const core::Field3& src,
 
 void write_block(core::Field3& global, const core::Field3& local,
                  const core::Index3& origin) {
-    const auto n = local.extents();
-    for (int k = 0; k < n.nz; ++k)
-        for (int j = 0; j < n.ny; ++j)
-            for (int i = 0; i < n.nx; ++i)
-                global(origin.i + i, origin.j + j, origin.k + k) =
-                    local(i, j, k);
+    core::copy_box(local.ptr(0, 0, 0), local.x_stride(), local.xy_stride(),
+                   global.ptr(origin.i, origin.j, origin.k), global.x_stride(),
+                   global.xy_stride(), local.extents());
 }
 
 SolveResult finish_result(const SolverConfig& cfg, core::Field3 state,

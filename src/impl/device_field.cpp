@@ -12,13 +12,19 @@ void upload_coefficients(gpu::Device& device, const core::StencilCoeffs& a) {
     device.set_constants(a.a);
 }
 
+core::StencilPlan tile_plan(const core::StencilCoeffs& a,
+                            const std::array<const double*, 3>& planes,
+                            std::ptrdiff_t sj) {
+    return core::StencilPlan::make(
+        a, sj, {planes[0] - planes[1], 0, planes[2] - planes[1]});
+}
+
 void launch_stencil(gpu::Stream& stream, gpu::Device& device,
                     const DeviceField& in, DeviceField& out,
                     const core::Range3& region, int bx, int by,
                     const GpuSource& msrc) {
     assert(in.extents() == out.extents());
     if (region.empty()) return;
-    const auto n = in.extents();
     const auto e = region.extents();
     const gpu::Dim3 grid{(e.nx + bx - 1) / bx, (e.ny + by - 1) / by, 1};
     const gpu::Dim3 block{bx + 2, by + 2, 1};  // fringe = halo threads
@@ -26,13 +32,15 @@ void launch_stencil(gpu::Stream& stream, gpu::Device& device,
     const std::size_t plane = static_cast<std::size_t>(tx) * ty;
     const std::size_t shared_doubles = 3 * plane;  // rotating z-1, z, z+1
 
-    auto consts = device.constants();
+    core::StencilCoeffs a;  // the constant-memory table
+    std::copy_n(device.constants().begin(), 27, a.a.begin());
     auto src = in.buffer().span();
     auto dst = out.buffer().span();
     // Copies hold the buffer handles alive until the op has run, and carry
     // the extents for offset math.
     const DeviceField in_layout = in;
     const DeviceField out_hold = out;
+    const std::ptrdiff_t sj = in.stride(1);
 
     stream.launch(grid, block, shared_doubles, [=, lo = region.lo,
                                                 hi = region.hi](
@@ -46,51 +54,34 @@ void launch_stencil(gpu::Stream& stream, gpu::Device& device,
         double* tile[3] = {shared.data(), shared.data() + plane,
                            shared.data() + 2 * plane};
 
-        // Halo threads included: load rows [x0-1, x0+bx] x [y0-1, y0+by] of
-        // plane k, guarded against the padded bounds for edge blocks.
+        // Halo threads included, but over the computed block's footprint
+        // only: rows [y0-1, y0+cy] x [x0-1, x0+cx] of plane k, one memcpy
+        // per row. The region is interior, so the footprint is in bounds.
         auto load_plane = [&](double* t, int k) {
-            for (int lty = 0; lty < ty; ++lty) {
-                const int gy = y0 - 1 + lty;
-                if (gy < -1 || gy > n.ny) continue;
-                for (int ltx = 0; ltx < tx; ++ltx) {
-                    const int gx = x0 - 1 + ltx;
-                    if (gx < -1 || gx > n.nx) continue;
-                    t[static_cast<std::size_t>(lty) * tx + ltx] =
-                        src[in_layout.offset(gx, gy, k)];
-                }
-            }
+            core::copy_box(src.data() + in_layout.offset(x0 - 1, y0 - 1, k),
+                           sj, 0, t, tx, 0, {cx + 2, cy + 2, 1});
         };
 
         load_plane(tile[0], lo.k - 1);
         load_plane(tile[1], lo.k);
         for (int k = lo.k; k < hi.k; ++k) {
             load_plane(tile[2], k + 1);
-            // Rebuild the plan for the current plane rotation: dk offsets
-            // are the pointer distances between the shared-memory planes
-            // (all within one shared allocation), dj/di use tile strides.
-            // The row kernel is the *same code* as the CPU fast path, so
-            // results are bitwise identical to core::stencil_point.
-            core::StencilPlan plan;
-            std::copy_n(consts.begin(), 27, plan.coeff.begin());
-            std::size_t t = 0;
-            for (int dk = -1; dk <= 1; ++dk) {
-                const std::ptrdiff_t dplane = tile[dk + 1] - tile[1];
-                for (int dj = -1; dj <= 1; ++dj)
-                    for (int di = -1; di <= 1; ++di, ++t)
-                        plan.offset[t] = dplane + dj * tx + di;
-            }
-            for (int ly = 0; ly < cy; ++ly) {
-                const double* in_row =
-                    tile[1] + static_cast<std::size_t>(ly + 1) * tx + 1;
-                double* out_row = dst.data() + in_layout.offset(x0, y0 + ly, k);
-                core::apply_stencil_row_ptr(plan, in_row, out_row, cx);
-                if (msrc.active())
-                    core::add_source_plane(out_row, 0, cx, 1,
+            // One plane-kernel dispatch over the cy tile rows. The plan for
+            // the current plane rotation takes its dk offsets from the
+            // shared-memory plane pointers; the kernel is the *same code* as
+            // the CPU fast path, so results are bitwise identical to
+            // core::stencil_point.
+            double* out0 = dst.data() + in_layout.offset(x0, y0, k);
+            core::apply_stencil_plane_ptr(
+                tile_plan(a, {tile[0], tile[1], tile[2]}, tx), tile[1] + tx + 1,
+                out0, cx, cy, tx, sj);
+            if (msrc.active())
+                for (int ly = 0; ly < cy; ++ly)
+                    core::add_source_plane(out0 + ly * sj, 0, cx, 1,
                                            msrc.origin.i + x0,
                                            msrc.origin.j + y0 + ly,
                                            msrc.origin.k + k, msrc.level,
                                            msrc.field);
-            }
             std::rotate(&tile[0], &tile[1], &tile[3]);  // z planes advance
         }
     });
@@ -124,12 +115,14 @@ void launch_stencil_fused(gpu::Stream& stream, gpu::Device& device,
                           static_cast<std::size_t>(by + 2 * (fuse - s));
     }
 
-    auto consts = device.constants();
+    core::StencilCoeffs a;  // the constant-memory table
+    std::copy_n(device.constants().begin(), 27, a.a.begin());
     auto src = in.buffer().span();
     auto dst = out.buffer().span();
     const DeviceField in_layout = in;
     const DeviceField out_hold = out;
     const int hw = in.halo_width();
+    const std::ptrdiff_t sj = in.stride(1);
 
     stream.launch(grid, block, shared_doubles, [=, lo = region.lo,
                                                 hi = region.hi](
@@ -154,59 +147,47 @@ void launch_stencil_fused(gpu::Stream& stream, gpu::Device& device,
         };
 
         // Stage input plane z: rows [y0-fuse, y0+cy+fuse) x
-        // [x0-fuse, x0+cx+fuse), guarded against the padded bounds.
+        // [x0-fuse, x0+cx+fuse), clamped to the padded bounds, one memcpy
+        // per row.
+        const int px0 = bx + 2 * fuse;
+        const int xa = std::max(x0 - fuse, -hw);
+        const int xb = std::min(x0 + cx + fuse, n.nx + hw);
+        const int ya = std::max(y0 - fuse, -hw);
+        const int yb = std::min(y0 + cy + fuse, n.ny + hw);
         auto load_plane0 = [&](int z) {
-            double* t0 = level_base(0, z);
-            const int px0 = bx + 2 * fuse;
-            for (int ly = 0; ly < cy + 2 * fuse; ++ly) {
-                const int gy = y0 - fuse + ly;
-                if (gy < -hw || gy >= n.ny + hw) continue;
-                for (int lx = 0; lx < cx + 2 * fuse; ++lx) {
-                    const int gx = x0 - fuse + lx;
-                    if (gx < -hw || gx >= n.nx + hw) continue;
-                    t0[static_cast<std::size_t>(ly) * px0 + lx] =
-                        src[in_layout.offset(gx, gy, z)];
-                }
-            }
+            core::copy_box(src.data() + in_layout.offset(xa, ya, z), sj, 0,
+                           level_base(0, z) +
+                               static_cast<std::size_t>(ya - y0 + fuse) * px0 +
+                               (xa - x0 + fuse),
+                           px0, 0, {xb - xa, yb - ya, 1});
         };
 
-        // Advance plane t of level s from level s-1's planes t-1, t, t+1.
-        // Every transition is the same row kernel as the CPU paths; the dk
-        // offsets are the pointer distances between the rotated slots.
+        // Advance plane t of level s from level s-1's planes t-1, t, t+1 in
+        // one plane-kernel dispatch. Every transition is the same kernel as
+        // the CPU paths; the dk offsets are the pointer distances between
+        // the rotated slots, and level `fuse` rows go straight to `out`.
         auto compute_level = [&](int s, int t) {
-            const int gsrc = fuse - (s - 1);
             const int gdst = fuse - s;
-            const int pxs = bx + 2 * gsrc;
-            const int pxd = bx + 2 * gdst;
+            const int pxs = bx + 2 * (gdst + 1);
             const int wx = cx + 2 * gdst;
             const int wy = cy + 2 * gdst;
             const double* center = level_base(s - 1, t);
-            core::StencilPlan plan;
-            std::copy_n(consts.begin(), 27, plan.coeff.begin());
-            std::size_t ti = 0;
-            for (int dk = -1; dk <= 1; ++dk) {
-                const std::ptrdiff_t dplane =
-                    level_base(s - 1, t + dk) - center;
-                for (int dj = -1; dj <= 1; ++dj)
-                    for (int di = -1; di <= 1; ++di, ++ti)
-                        plan.offset[ti] = dplane + dj * pxs + di;
-            }
-            for (int ly = 0; ly < wy; ++ly) {
-                const double* src_row =
-                    center + static_cast<std::size_t>(ly + 1) * pxs + 1;
-                double* dst_row =
-                    s == fuse
-                        ? dst.data() + in_layout.offset(x0, y0 + ly, t)
-                        : level_base(s, t) +
-                              static_cast<std::size_t>(ly) * pxd;
-                core::apply_stencil_row_ptr(plan, src_row, dst_row, wx);
-                if (msrc.active())
-                    core::add_source_plane(dst_row, 0, wx, 1,
+            double* out0 = s == fuse ? dst.data() + in_layout.offset(x0, y0, t)
+                                     : level_base(s, t);
+            const std::ptrdiff_t out_sj = s == fuse ? sj : bx + 2 * gdst;
+            core::apply_stencil_plane_ptr(
+                tile_plan(a,
+                          {level_base(s - 1, t - 1), center,
+                           level_base(s - 1, t + 1)},
+                          pxs),
+                center + pxs + 1, out0, wx, wy, pxs, out_sj);
+            if (msrc.active())
+                for (int ly = 0; ly < wy; ++ly)
+                    core::add_source_plane(out0 + ly * out_sj, 0, wx, 1,
                                            msrc.origin.i + x0 - gdst,
                                            msrc.origin.j + y0 - gdst + ly,
                                            msrc.origin.k + t,
                                            msrc.level + s - 1, msrc.field);
-            }
         };
 
         // z wavefront: as input plane z is staged, each level s can advance
@@ -267,29 +248,25 @@ void launch_stencil_var(gpu::Stream& stream, const DeviceField& in,
 void launch_periodic_halo(gpu::Stream& stream, DeviceField& f, int dim,
                           int depth) {
     const auto n = f.extents();
+    assert(depth <= n[dim]);  // halo and source slabs stay disjoint
     const auto plan = core::HaloPlan::make(n, depth);
     const auto& e = plan.dims[static_cast<std::size_t>(dim)];
     auto data = f.buffer().span();
     const DeviceField layout = f;
-    const int shift = n[dim];
+    const std::ptrdiff_t sj = f.stride(1), sk = f.stride(2);
+    const std::ptrdiff_t shift = n[dim] * f.stride(dim);
 
-    // Copy halo <- opposite boundary for both sides; a single-block kernel
-    // (this is a memory-only operation, like the paper's halo threads).
+    // Copy halo <- opposite boundary for both sides, one x row per memcpy;
+    // a single-block kernel (this is a memory-only operation, like the
+    // paper's halo threads).
     stream.launch({1, 1, 1}, {1, 1, 1}, 0,
                   [=](gpu::Dim3, gpu::Dim3, std::span<double>) {
-                      auto copy = [&](const core::Range3& dst_region, int s) {
-                          for (int k = dst_region.lo.k; k < dst_region.hi.k; ++k)
-                              for (int j = dst_region.lo.j; j < dst_region.hi.j;
-                                   ++j)
-                                  for (int i = dst_region.lo.i;
-                                       i < dst_region.hi.i; ++i) {
-                                      int si = i, sj = j, sk = k;
-                                      if (dim == 0) si += s;
-                                      else if (dim == 1) sj += s;
-                                      else sk += s;
-                                      data[layout.offset(i, j, k)] =
-                                          data[layout.offset(si, sj, sk)];
-                                  }
+                      auto copy = [&](const core::Range3& r,
+                                      std::ptrdiff_t from) {
+                          double* d = data.data() +
+                                      layout.offset(r.lo.i, r.lo.j, r.lo.k);
+                          core::copy_box(d + from, sj, sk, d, sj, sk,
+                                         r.extents());
                       };
                       copy(e.recv_low, shift);    // halo -1 <- plane n-1
                       copy(e.recv_high, -shift);  // halo n <- plane 0
@@ -309,26 +286,33 @@ void launch_boundary_fill(gpu::Stream& stream, DeviceField& f, int dim,
     const auto& e = plan.dims[static_cast<std::size_t>(dim)];
     auto data = f.buffer().span();
     const DeviceField layout = f;
+    const std::ptrdiff_t sj = f.stride(1), sk = f.stride(2);
 
     stream.launch({1, 1, 1}, {1, 1, 1}, 0, [=](gpu::Dim3, gpu::Dim3,
                                                std::span<double>) {
         auto fill = [&](const core::Range3& slab, core::BoundaryKind kind,
                         int edge) {
-            for (int k = slab.lo.k; k < slab.hi.k; ++k)
-                for (int j = slab.lo.j; j < slab.hi.j; ++j)
-                    for (int i = slab.lo.i; i < slab.hi.i; ++i) {
-                        if (kind == core::BoundaryKind::Inflow) {
+            if (kind == core::BoundaryKind::Inflow) {
+                for (int k = slab.lo.k; k < slab.hi.k; ++k)
+                    for (int j = slab.lo.j; j < slab.hi.j; ++j)
+                        for (int i = slab.lo.i; i < slab.hi.i; ++i)
                             data[layout.offset(i, j, k)] =
                                 bf.g(origin.i + i, origin.j + j, origin.k + k,
                                      level);
-                        } else {
-                            const int si = dim == 0 ? edge : i;
-                            const int sjj = dim == 1 ? edge : j;
-                            const int skk = dim == 2 ? edge : k;
-                            data[layout.offset(i, j, k)] =
-                                data[layout.offset(si, sjj, skk)];
-                        }
-                    }
+                return;
+            }
+            // Outflow: every halo plane copies the edge plane, one x row per
+            // memcpy (the one-point rows of x faces go point by point).
+            const auto ext = slab.extents();
+            const core::Extents3 one{dim == 0 ? 1 : ext.nx,
+                                     dim == 1 ? 1 : ext.ny,
+                                     dim == 2 ? 1 : ext.nz};
+            const std::ptrdiff_t step = layout.stride(dim);
+            double* d = data.data() +
+                        layout.offset(slab.lo.i, slab.lo.j, slab.lo.k);
+            const double* from = d + (edge - slab.lo[dim]) * step;
+            for (int c = 0; c < ext[dim]; ++c)
+                core::copy_box(from, sj, sk, d + c * step, sj, sk, one);
         };
         if (open & lo_bit)
             fill(e.recv_low, faces[static_cast<std::size_t>(2 * dim)], 0);
@@ -345,14 +329,16 @@ void launch_pack(gpu::Stream& stream, const DeviceField& f,
     auto src = f.buffer().span();
     auto dst = staging.span();
     const DeviceField layout = f;
+    const auto e = region.extents();
     stream.launch({1, 1, 1}, {1, 1, 1}, 0,
                   [=, hold = staging](gpu::Dim3, gpu::Dim3, std::span<double>) {
                       (void)hold;
-                      std::size_t idx = offset;
-                      for (int k = region.lo.k; k < region.hi.k; ++k)
-                          for (int j = region.lo.j; j < region.hi.j; ++j)
-                              for (int i = region.lo.i; i < region.hi.i; ++i)
-                                  dst[idx++] = src[layout.offset(i, j, k)];
+                      const auto lo = region.lo;
+                      core::copy_box(
+                          src.data() + layout.offset(lo.i, lo.j, lo.k),
+                          layout.stride(1), layout.stride(2),
+                          dst.data() + offset, e.nx,
+                          std::ptrdiff_t{e.nx} * e.ny, e);
                   });
 }
 
@@ -363,14 +349,16 @@ void launch_unpack(gpu::Stream& stream, DeviceField& f,
     auto src = staging.span();
     auto dst = f.buffer().span();
     const DeviceField layout = f;
+    const auto e = region.extents();
     stream.launch({1, 1, 1}, {1, 1, 1}, 0,
                   [=, hold = staging](gpu::Dim3, gpu::Dim3, std::span<double>) {
                       (void)hold;
-                      std::size_t idx = offset;
-                      for (int k = region.lo.k; k < region.hi.k; ++k)
-                          for (int j = region.lo.j; j < region.hi.j; ++j)
-                              for (int i = region.lo.i; i < region.hi.i; ++i)
-                                  dst[layout.offset(i, j, k)] = src[idx++];
+                      const auto lo = region.lo;
+                      core::copy_box(
+                          src.data() + offset, e.nx,
+                          std::ptrdiff_t{e.nx} * e.ny,
+                          dst.data() + layout.offset(lo.i, lo.j, lo.k),
+                          layout.stride(1), layout.stride(2), e);
                   });
 }
 

@@ -14,6 +14,7 @@
 #include "core/coefficients.hpp"
 #include "core/field.hpp"
 #include "core/source.hpp"
+#include "core/stencil.hpp"
 #include "gpu/device.hpp"
 
 namespace advect::impl {
@@ -51,11 +52,15 @@ class DeviceField {
 
     /// Linear offset of (i, j, k), identical to Field3::offset.
     [[nodiscard]] std::size_t offset(int i, int j, int k) const {
-        return static_cast<std::size_t>(i + h_) +
-               static_cast<std::size_t>(n_.nx + 2 * h_) *
-                   (static_cast<std::size_t>(j + h_) +
-                    static_cast<std::size_t>(n_.ny + 2 * h_) *
-                        static_cast<std::size_t>(k + h_));
+        return static_cast<std::size_t>(i + h_ + stride(1) * (j + h_) +
+                                        stride(2) * (k + h_));
+    }
+
+    /// Padded stride of dimension `dim` in doubles: 1, the row stride, or
+    /// the plane stride, as Field3::x_stride / xy_stride.
+    [[nodiscard]] std::ptrdiff_t stride(int dim) const {
+        const std::ptrdiff_t sx = n_.nx + 2 * h_;
+        return dim == 0 ? 1 : dim == 1 ? sx : sx * (n_.ny + 2 * h_);
     }
 
     void swap(DeviceField& other) noexcept {
@@ -73,6 +78,14 @@ class DeviceField {
 /// Upload the stencil coefficients to the device's constant memory
 /// ("the a_ijk values are in GPU constant memory", §IV-E).
 void upload_coefficients(gpu::Device& device, const core::StencilCoeffs& a);
+
+/// Stencil plan over three tile planes (z-1, z, z+1 at `planes[0..2]`) with
+/// row stride `sj`: the dk offsets are the pointer distances between the
+/// planes, and zero coefficients drop out by the StencilPlan::make rule, so
+/// a device sweep sums the same terms in the same order as the CPU.
+[[nodiscard]] core::StencilPlan tile_plan(
+    const core::StencilCoeffs& a, const std::array<const double*, 3>& planes,
+    std::ptrdiff_t sj);
 
 /// Launch the tiled stencil kernel over `region` of the padded field:
 /// out(p) = Equation 2 applied to in. Thread blocks are (bx+2, by+2): the

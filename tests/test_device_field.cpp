@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "core/halo.hpp"
+#include "core/problem.hpp"
 #include "core/stencil.hpp"
 #include "impl/device_field.hpp"
 #include "impl/gpu_task.hpp"
+#include "impl/registry.hpp"
 
 namespace core = advect::core;
 namespace gpu = advect::gpu;
@@ -33,8 +36,17 @@ void upload(gpu::Stream& s, impl::DeviceField& d, const core::Field3& h) {
     s.memcpy_h2d(d.buffer(), 0, h.raw());
 }
 
+/// Every padded point random, halos of any width included.
+core::Field3 random_padded(core::Extents3 n, int halo, unsigned seed) {
+    core::Field3 f(n, halo);
+    std::mt19937 rng(seed);
+    std::uniform_real_distribution<double> d(-2.0, 2.0);
+    for (double& v : f.raw()) v = d(rng);
+    return f;
+}
+
 core::Field3 download(gpu::Stream& s, const impl::DeviceField& d) {
-    core::Field3 out(d.extents());
+    core::Field3 out(d.extents(), d.halo_width());
     s.memcpy_d2h(out.raw(), d.buffer(), 0);
     s.synchronize();
     return out;
@@ -124,6 +136,95 @@ TEST(DeviceStencil, PartitionedRegionsEqualFullSweep) {
     EXPECT_TRUE(full.interior_equals(split));
 }
 
+TEST(DeviceStencil, CourantOneResidentSweepDropsZeroTerms) {
+    // The Courant-1 shift compacts to one surviving term on the device as
+    // on the host, and the resident sweep stays bitwise on the reference.
+    impl::SolverConfig cfg;
+    cfg.problem = core::AdvectionProblem::standard(12);
+    cfg.steps = 3;
+    const auto result = impl::solve_gpu_resident(cfg);
+    EXPECT_TRUE(result.state.interior_equals(
+        core::run_reference(cfg.problem, cfg.steps)));
+
+    // Rotated planes: z-1 above z+1 in memory, as after a tile rotation.
+    std::vector<double> tile(3 * 40);
+    const double* below = tile.data() + 80;
+    const double* centre = tile.data();
+    const double* above = tile.data() + 40;
+    const auto shift = impl::tile_plan(cfg.problem.coeffs(),
+                                       {below, centre, above}, 8);
+    ASSERT_EQ(shift.terms, 1);
+    // Velocity (1,1,1) at nu = 1 keeps a(-1,-1,-1): the z-1 plane's corner.
+    EXPECT_EQ(shift.offset[0], 80 - 8 - 1);
+    const auto paper = core::tensor_product_coeffs({1.0, 0.5, 0.25}, 0.5);
+    const auto full = impl::tile_plan(paper, {below, centre, above}, 8);
+    EXPECT_EQ(full.terms, 27);
+    // Evenly spaced planes give exactly the host plan.
+    const auto even = impl::tile_plan(paper, {centre, above, below}, 8);
+    const auto host = core::StencilPlan::make(paper, 8, 40);
+    EXPECT_EQ(even.coeff, host.coeff);
+    EXPECT_EQ(even.offset, host.offset);
+}
+
+TEST(DeviceStencil, ThinFaceSlabsMatchCpuAtHaloWidths) {
+    // 1-wide x-face and 1-thick z-face slabs: the staged footprint is three
+    // points wide or three planes deep, at either edge of the padded field.
+    const core::Extents3 n{9, 7, 6};
+    const auto coeffs = core::tensor_product_coeffs({1.0, 0.5, 0.25}, 0.5);
+    const core::Range3 slabs[] = {{{0, 0, 0}, {1, 7, 6}},
+                                  {{8, 0, 0}, {9, 7, 6}},
+                                  {{0, 0, 0}, {9, 7, 1}},
+                                  {{0, 0, 5}, {9, 7, 6}},
+                                  {{4, 2, 3}, {5, 3, 4}}};
+    for (int hw : {1, 2}) {
+        gpu::Device dev(gpu::DeviceProps::tesla_c2050());
+        impl::upload_coefficients(dev, coeffs);
+        auto s = dev.create_stream();
+        const auto host = random_padded(n, hw, 20 + hw);
+        impl::DeviceField d_in(dev, n, hw), d_out(dev, n, hw);
+        upload(s, d_in, host);
+        const core::Field3 poison(n, hw, -999.0);
+        for (const auto& slab : slabs) {
+            upload(s, d_out, poison);
+            launch_stencil(s, dev, d_in, d_out, slab, 32, 8);
+            const auto result = download(s, d_out);
+            core::Field3 expect = poison;
+            core::apply_stencil(coeffs, host, expect, slab);
+            ASSERT_TRUE(std::equal(result.raw().begin(), result.raw().end(),
+                                   expect.raw().begin()))
+                << "halo " << hw << " slab x " << slab.lo.i << ".."
+                << slab.hi.i << " z " << slab.lo.k << ".." << slab.hi.k;
+        }
+    }
+}
+
+TEST(DeviceStencil, FusedEdgeBlocksTouchingPaddedBoundMatchCpu) {
+    // 13 x 7 with 4 x 2 blocks: the first blocks stage from -fuse and the
+    // ragged last ones (one column, one row) up to n + fuse, the padded
+    // bound when halo == fuse. From fuse-deep periodic halos, the fused
+    // launch equals `fuse` host sweeps with a periodic fill between them.
+    const core::Extents3 n{13, 7, 5};
+    const auto coeffs = core::tensor_product_coeffs({1.0, 0.5, 0.25}, 0.5);
+    for (int fuse : {2, 3}) {
+        gpu::Device dev(gpu::DeviceProps::tesla_c2050());
+        impl::upload_coefficients(dev, coeffs);
+        auto s = dev.create_stream();
+        auto cur = random_padded(n, fuse, 30 + fuse);
+        core::fill_periodic_halo(cur);
+        impl::DeviceField d_in(dev, n, fuse), d_out(dev, n, fuse);
+        upload(s, d_in, cur);
+        launch_stencil_fused(s, dev, d_in, d_out, cur.interior(), 4, 2, fuse);
+        const auto result = download(s, d_out);
+        core::Field3 nxt(n, fuse);
+        for (int step = 0; step < fuse; ++step) {
+            core::apply_stencil(coeffs, cur, nxt);
+            core::fill_periodic_halo(nxt);
+            cur.swap(nxt);
+        }
+        EXPECT_TRUE(result.interior_equals(cur)) << "fuse " << fuse;
+    }
+}
+
 TEST(DevicePeriodicHalo, MatchesHostFill) {
     const core::Extents3 n{6, 5, 4};
     gpu::Device dev(gpu::DeviceProps::tesla_c2050());
@@ -141,6 +242,55 @@ TEST(DevicePeriodicHalo, MatchesHostFill) {
     const auto b = expect.raw();
     for (std::size_t idx = 0; idx < a.size(); ++idx)
         ASSERT_EQ(a[idx], b[idx]) << "padded offset " << idx;
+}
+
+TEST(DevicePeriodicHalo, DeepHalosMatchHostFillPerDim) {
+    // Depth-2 and depth-3 slabs: x-face rows several points long, and the
+    // staged transverse ranges reaching into the deep halo corners.
+    const core::Extents3 n{7, 5, 4};
+    for (int depth : {2, 3}) {
+        gpu::Device dev(gpu::DeviceProps::tesla_c2050());
+        auto s = dev.create_stream();
+        auto expect = random_padded(n, depth, 40 + depth);
+        impl::DeviceField d(dev, n, depth);
+        upload(s, d, expect);
+        for (int dim = 0; dim < 3; ++dim) {
+            launch_periodic_halo(s, d, dim, depth);
+            core::fill_periodic_halo_dim(expect, dim, depth);
+            const auto result = download(s, d);
+            ASSERT_TRUE(std::equal(result.raw().begin(), result.raw().end(),
+                                   expect.raw().begin()))
+                << "depth " << depth << " dim " << dim;
+        }
+    }
+}
+
+TEST(DevicePack, XFaceRowsOfOnePoint) {
+    // An x face packs one point per row: the strided single-point path.
+    const core::Extents3 n{6, 5, 4};
+    gpu::Device dev(gpu::DeviceProps::tesla_c2050());
+    auto s = dev.create_stream();
+    const auto host = random_padded(n, 1, 50);
+    impl::DeviceField d(dev, n);
+    upload(s, d, host);
+    const core::Range3 face{{5, -1, 0}, {6, 6, 4}};
+    auto staging = dev.alloc(face.volume() + 2);
+    launch_pack(s, d, face, staging, /*offset=*/2);
+    std::vector<double> host_buf(face.volume() + 2);
+    s.memcpy_d2h(host_buf, staging, 0);
+    s.synchronize();
+    const auto expect = core::pack(host, face);
+    ASSERT_TRUE(std::equal(expect.begin(), expect.end(), host_buf.begin() + 2));
+    // Unpack into a poisoned field writes the face and nothing else.
+    impl::DeviceField d2(dev, n);
+    const core::Field3 poison(n, -999.0);
+    upload(s, d2, poison);
+    launch_unpack(s, d2, face, staging, 2);
+    core::Field3 want = poison;
+    core::unpack(want, face, expect);
+    const auto back = download(s, d2);
+    EXPECT_TRUE(std::equal(back.raw().begin(), back.raw().end(),
+                           want.raw().begin()));
 }
 
 TEST(DevicePack, InteroperatesWithHostStaging) {
