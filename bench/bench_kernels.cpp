@@ -31,6 +31,9 @@ void BM_StencilSweep(benchmark::State& state) {
     core::Field3 cur({n, n, n}, 1.0);
     core::Field3 nxt({n, n, n});
     const auto a = core::tensor_product_coeffs({1, 1, 1}, 1.0);
+    // GF counts the flops that run: the Courant-1 shift compacts to one term.
+    const int flops =
+        core::flops_per_point(core::StencilPlan::make(a, cur).terms);
     core::fill_periodic_halo(cur);
     for (auto _ : state) {
         core::apply_stencil(a, cur, nxt);
@@ -39,8 +42,7 @@ void BM_StencilSweep(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(n) * n * n);
     state.counters["GF"] = benchmark::Counter(
-        static_cast<double>(state.iterations()) * n * n * n *
-            core::kFlopsPerPoint,
+        static_cast<double>(state.iterations()) * n * n * n * flops,
         benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_StencilSweep)->Arg(24)->Arg(48)->Arg(64);
@@ -55,6 +57,8 @@ void BM_StencilSweepFused(benchmark::State& state) {
     core::Field3 cur({n, n, n}, fuse, 1.0);
     core::Field3 nxt({n, n, n}, fuse);
     const auto a = core::tensor_product_coeffs({1, 1, 1}, 1.0);
+    const int flops =
+        core::flops_per_point(core::StencilPlan::make(a, cur).terms);
     const core::FusedSweepPlan plan({cur.interior()}, fuse);
     std::vector<double> scratch(plan.scratch_doubles());
     core::fill_periodic_halo(cur);
@@ -65,8 +69,7 @@ void BM_StencilSweepFused(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(n) * n * n * fuse);
     state.counters["GF"] = benchmark::Counter(
-        static_cast<double>(state.iterations()) * n * n * n * fuse *
-            core::kFlopsPerPoint,
+        static_cast<double>(state.iterations()) * n * n * n * fuse * flops,
         benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
 BENCHMARK(BM_StencilSweepFused)

@@ -55,8 +55,15 @@ struct StencilCoeffs {
 /// exactly as the paper does.)
 [[nodiscard]] double max_stable_nu(const Velocity3& c);
 
+/// Floating-point work per grid point per step of a stencil that sums
+/// `terms` products: `terms` multiplications + `terms - 1` additions. A
+/// zero-coefficient-compacted StencilPlan runs StencilPlan::terms of them.
+[[nodiscard]] constexpr int flops_per_point(int terms) {
+    return 2 * terms - 1;
+}
+
 /// Floating-point work per grid point per step in Equation 2:
 /// 27 multiplications + 26 additions = 53 flops (paper §II).
-inline constexpr int kFlopsPerPoint = 53;
+inline constexpr int kFlopsPerPoint = flops_per_point(27);
 
 }  // namespace advect::core

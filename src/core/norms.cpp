@@ -4,25 +4,25 @@
 #include <cmath>
 
 namespace advect::core {
+
+Norms NormSums::finish(std::size_t count) const {
+    Norms out;
+    const double c = static_cast<double>(count);
+    out.l1 = count > 0 ? sum1 / c : 0.0;
+    out.l2 = count > 0 ? std::sqrt(sum2 / c) : 0.0;
+    out.linf = max_abs;
+    return out;
+}
+
 namespace {
 
 template <typename Value>
 Norms accumulate_norms(const Extents3& n, Value&& value) {
-    Norms out;
-    double sum1 = 0.0, sum2 = 0.0, mx = 0.0;
+    NormSums sums;
     for (int k = 0; k < n.nz; ++k)
         for (int j = 0; j < n.ny; ++j)
-            for (int i = 0; i < n.nx; ++i) {
-                const double v = std::fabs(value(i, j, k));
-                sum1 += v;
-                sum2 += v * v;
-                if (v > mx) mx = v;
-            }
-    const double count = static_cast<double>(n.volume());
-    out.l1 = count > 0 ? sum1 / count : 0.0;
-    out.l2 = count > 0 ? std::sqrt(sum2 / count) : 0.0;
-    out.linf = mx;
-    return out;
+            for (int i = 0; i < n.nx; ++i) sums.add(value(i, j, k));
+    return sums.finish(n.volume());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <random>
 
 #include "core/coefficients.hpp"
+#include "core/stencil.hpp"
 
 namespace core = advect::core;
 
@@ -158,6 +159,20 @@ TEST(Coefficients, IndexLayout) {
 
 TEST(Coefficients, FlopCountMatchesPaper) {
     EXPECT_EQ(core::kFlopsPerPoint, 53);  // 27 multiplies + 26 adds
+}
+
+TEST(Coefficients, FlopCountFollowsSurvivingTerms) {
+    EXPECT_EQ(core::flops_per_point(27), 53);
+    // The paper's 27-term sweep keeps every term after compaction.
+    const core::Field3 shape({8, 8, 8});
+    const auto paper = core::StencilPlan::make(
+        core::tensor_product_coeffs({1.0, 0.5, 0.25}, 0.5), shape);
+    EXPECT_EQ(core::flops_per_point(paper.terms), 53);
+    // The Courant-1 shift compacts to one multiply and no add.
+    const auto shift = core::StencilPlan::make(
+        core::tensor_product_coeffs({1.0, 1.0, 1.0}, 1.0), shape);
+    EXPECT_EQ(shift.terms, 1);
+    EXPECT_EQ(core::flops_per_point(shift.terms), 1);
 }
 
 }  // namespace

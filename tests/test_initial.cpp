@@ -1,10 +1,14 @@
 // Tests for the Gaussian initial condition, the analytic solution with
-// periodic wrap, the error norms, and the problem wrapper (flop counting,
-// GF arithmetic, reference stepping).
+// periodic wrap, the row-wise evaluation of both (bitwise against the
+// per-point formulas), the error norms, and the problem wrapper (flop
+// counting, GF arithmetic, reference stepping).
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/problem.hpp"
 
@@ -52,6 +56,147 @@ TEST(FillInitial, SubBlockMatchesGlobal) {
         for (int j = 0; j < 5; ++j)
             for (int i = 0; i < 4; ++i)
                 ASSERT_EQ(block(i, j, k), global(3 + i, 2 + j, 6 + k));
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every interior point of `f` equals the per-point wave at its global
+/// coordinate, and every halo point still holds `halo_value`.
+void expect_wave_on_block(const core::Field3& f, const core::Domain& dom,
+                          const core::GaussianWave& w,
+                          const core::Index3& origin, double halo_value) {
+    const auto n = f.extents();
+    const int h = f.halo_width();
+    const double d = dom.delta();
+    for (int k = -h; k < n.nz + h; ++k)
+        for (int j = -h; j < n.ny + h; ++j)
+            for (int i = -h; i < n.nx + h; ++i) {
+                const bool interior = i >= 0 && i < n.nx && j >= 0 &&
+                                      j < n.ny && k >= 0 && k < n.nz;
+                const double want =
+                    interior ? w((origin.i + i) * d, (origin.j + j) * d,
+                                 (origin.k + k) * d)
+                             : halo_value;
+                ASSERT_EQ(bits(f(i, j, k)), bits(want))
+                    << "at (" << i << "," << j << "," << k << ") halo " << h;
+            }
+}
+
+TEST(FillInitial, RowsBitwiseEqualPerPointWaveOnAnyHalo) {
+    const core::Domain dom{23};
+    core::GaussianWave w{};
+    w.sigma = 0.11;
+    w.center = 0.41;
+    w.amp = 1.7;
+    const core::Extents3 n{9, 7, 5};
+    for (int h = 1; h <= 3; ++h)
+        for (const core::Index3 origin :
+             {core::Index3{0, 0, 0}, core::Index3{5, 13, 17}}) {
+            core::Field3 f(n, h, -7.25);
+            core::fill_initial(f, dom, w, origin);
+            expect_wave_on_block(f, dom, w, origin, -7.25);
+        }
+}
+
+TEST(FillInitial, ZeroAmplitudeWritesZerosOnly) {
+    const core::Domain dom{15};
+    core::GaussianWave w{};
+    w.amp = 0.0;
+    for (int h = 1; h <= 3; ++h) {
+        core::Field3 f({5, 3, 7}, h, 3.5);
+        core::fill_initial(f, dom, w, {4, 11, 1});
+        expect_wave_on_block(f, dom, w, {4, 11, 1}, 3.5);
+    }
+}
+
+TEST(WaveRows, AnalyticRowsBitwiseEqualPerPointSolution) {
+    // t > 0 with a negative velocity component: x - c t crosses the seam
+    // upward in x and downward in y/z, so wrap01 acts in both directions.
+    const core::Domain dom{19};
+    const core::GaussianWave w{};
+    const core::Velocity3 c{-0.7, 0.4, 1.3};
+    const double t = 0.61;
+    const core::Extents3 n{11, 6, 9};
+    const core::Index3 origin{8, 13, 3};
+    const core::WaveRows rows(w, dom, n, origin, c, t);
+    const double d = dom.delta();
+    std::vector<double> row(static_cast<std::size_t>(n.nx));
+    for (int k = 0; k < n.nz; ++k)
+        for (int j = 0; j < n.ny; ++j) {
+            rows.row(j, k, row.data());
+            for (int i = 0; i < n.nx; ++i)
+                ASSERT_EQ(bits(row[static_cast<std::size_t>(i)]),
+                          bits(core::analytic_solution(
+                              w, c, t, (origin.i + i) * d, (origin.j + j) * d,
+                              (origin.k + k) * d)))
+                    << "at (" << i << "," << j << "," << k << ")";
+        }
+}
+
+/// Per-point reference for error_vs_analytic: a full `exact` field from
+/// analytic_solution plus the manufactured field, then diff_norms.
+core::Norms per_point_error(const core::AdvectionProblem& p,
+                            const core::Field3& state, int steps,
+                            const core::Index3& origin) {
+    core::Field3 exact(state.extents());
+    const double t = p.time_at(steps);
+    const double d = p.domain.delta();
+    const auto n = exact.extents();
+    for (int k = 0; k < n.nz; ++k)
+        for (int j = 0; j < n.ny; ++j)
+            for (int i = 0; i < n.nx; ++i) {
+                const double x = (origin.i + i) * d;
+                const double y = (origin.j + j) * d;
+                const double z = (origin.k + k) * d;
+                exact(i, j, k) =
+                    core::analytic_solution(p.wave, p.velocity, t, x, y, z);
+                if (p.source.active())
+                    exact(i, j, k) += p.source.manufactured(x, y, z, t);
+            }
+    return core::diff_norms(state, exact);
+}
+
+void expect_error_matches_per_point(const core::AdvectionProblem& p,
+                                    const core::Field3& state, int steps,
+                                    const core::Index3& origin) {
+    const auto want = per_point_error(p, state, steps, origin);
+    const auto got = core::error_vs_analytic(p, state, steps, origin);
+    EXPECT_EQ(got.l1, want.l1);
+    EXPECT_EQ(got.l2, want.l2);
+    EXPECT_EQ(got.linf, want.linf);
+    EXPECT_GT(got.linf, 0.0);
+}
+
+TEST(ErrorVsAnalytic, BitwiseEqualsPerPointExactField) {
+    auto p = core::AdvectionProblem::standard(17);
+    p.velocity = {-0.7, 0.4, 1.0};
+    p.nu = 0.5;
+    const int steps = 9;  // t > 0: the seam wraps on every axis
+    expect_error_matches_per_point(p, core::run_reference(p, steps), steps,
+                                   {0, 0, 0});
+    // A rank's block at a nonzero origin, with a deeper halo.
+    core::Field3 block({7, 5, 9}, 2);
+    for (int k = 0; k < 9; ++k)
+        for (int j = 0; j < 5; ++j)
+            for (int i = 0; i < 7; ++i)
+                block(i, j, k) = 0.01 * std::sin(i + 2.0 * j + 3.0 * k);
+    block.fill_halo(1e30);  // halos never enter the norms
+    expect_error_matches_per_point(p, block, steps, {6, 11, 3});
+}
+
+TEST(ErrorVsAnalytic, BitwiseEqualsPerPointWithMmsSource) {
+    auto p = core::AdvectionProblem::standard(15);
+    p.velocity = {1.0, -0.5, 0.25};
+    p.nu = 0.8;
+    p.source.amp = 0.3;
+    p.source.ky = 2;
+    const int steps = 6;
+    expect_error_matches_per_point(p, core::run_reference(p, steps), steps,
+                                   {0, 0, 0});
+    // Pure manufactured mode: the wave is identically zero.
+    p.wave.amp = 0.0;
+    expect_error_matches_per_point(p, core::run_reference(p, steps), steps,
+                                   {0, 0, 0});
 }
 
 TEST(Norms, KnownValues) {

@@ -95,10 +95,13 @@ model::MachineSpec machine_by_name(const std::string& name) {
     if (name == "yona") return model::MachineSpec::yona();
     if (name == "localhost") {
         // Calibrated against the measured kernel rates when the perf
-        // trajectory is present (docs/SERVICE.md §admission).
+        // trajectory is present (docs/SERVICE.md §admission); otherwise
+        // the nominal spec, with a note whose error names the path.
         try {
             return model::localhost_from_bench("BENCH_kernels.json");
-        } catch (const std::exception&) {
+        } catch (const std::exception& e) {
+            std::fprintf(stderr, "advectctl: uncalibrated localhost (%s)\n",
+                         e.what());
             return model::MachineSpec::localhost();
         }
     }
