@@ -10,17 +10,46 @@
 
 namespace advect::gpu {
 
-Device::Device(DeviceProps props)
+namespace {
+
+std::size_t checked_workers(int workers) {
+    if (workers < 1)
+        throw std::invalid_argument("gpu: a device needs >= 1 block worker");
+    return static_cast<std::size_t>(workers);
+}
+
+}  // namespace
+
+Device::Device(DeviceProps props, int workers)
     : props_(std::move(props)),
       constants_(8192, 0.0),
-      executor_([this] { executor_loop(); }) {}
+      scratch_(checked_workers(workers)),
+      executor_([this] { executor_loop(); }) {
+    try {
+        helpers_.reserve(scratch_.size() - 1);
+        for (int w = 1; w < workers; ++w)
+            helpers_.emplace_back([this, w] { helper_loop(w); });
+    } catch (...) {
+        shut_down();  // the threads already started must not wait forever
+        throw;
+    }
+}
 
-Device::~Device() {
+Device::~Device() { shut_down(); }
+
+void Device::shut_down() {
     {
         std::lock_guard lock(mu_);
         stop_ = true;
     }
     work_cv_.notify_all();
+    executor_.join();  // drains every queue; no kernel is published after
+    {
+        std::lock_guard lock(block_mu_);
+        helpers_stop_ = true;
+    }
+    block_cv_.notify_all();
+    helpers_.clear();  // joins
 }
 
 DeviceBuffer Device::alloc(std::size_t count) {
@@ -107,16 +136,17 @@ void Device::executor_loop() {
             continue;
         }
         lock.unlock();
-        if (op.run) {
-            if (op.trace_name && trace::enabled()) {
-                const double t0 = trace::now();
+        if (op.run || op.is_kernel) {
+            const double t0 =
+                op.trace_name && trace::enabled() ? trace::now() : -1.0;
+            if (op.is_kernel)
+                run_kernel(op.kernel);
+            else
                 op.run();
+            if (t0 >= 0.0)
                 trace::record(op.trace_name, "gpu", op.trace_lane, t0,
                               trace::now(), op.trace_rank, /*thread=*/-1,
                               op.trace_stream);
-            } else {
-                op.run();
-            }
         }
         // Chaos GpuSlow: stretch this kernel's device occupancy before its
         // completion event fires, so dependent work genuinely waits.
@@ -137,6 +167,66 @@ void Device::executor_loop() {
         lock.lock();
         owner->busy = false;
         idle_cv_.notify_all();
+    }
+}
+
+void Device::run_blocks(const detail::Kernel& k, std::span<double> shared) {
+    const long long nx = k.grid.x, nxy = nx * k.grid.y;
+    const long long count = k.grid.count();
+    for (long long b = next_block_.fetch_add(1, std::memory_order_relaxed);
+         b < count; b = next_block_.fetch_add(1, std::memory_order_relaxed)) {
+        std::fill(shared.begin(), shared.end(), 0.0);
+        k.body(Dim3{static_cast<int>(b % nx), static_cast<int>(b % nxy / nx),
+                    static_cast<int>(b / nxy)},
+               k.block, shared);
+    }
+}
+
+void Device::run_kernel(const detail::Kernel& k) {
+    // Scratch grows on the executor only, before any helper can see the
+    // launch: helper threads never allocate (each would otherwise get a
+    // fresh malloc arena of its own).
+    const bool parallel = scratch_.size() > 1 && k.grid.count() > 1;
+    for (std::size_t w = 0; w < (parallel ? scratch_.size() : 1); ++w)
+        if (scratch_[w].size() < k.shared_doubles)
+            scratch_[w].resize(k.shared_doubles);
+    const std::span<double> shared(scratch_[0].data(), k.shared_doubles);
+    next_block_.store(0, std::memory_order_relaxed);
+    if (!parallel) {
+        run_blocks(k, shared);
+        return;
+    }
+    {
+        std::lock_guard lock(block_mu_);
+        published_ = &k;
+        ++launches_;
+    }
+    block_cv_.notify_all();
+    run_blocks(k, shared);
+    // Every block is claimed once the executor's own loop ends; the ones a
+    // helper claimed are finished when that helper leaves. Retiring the
+    // launch under the lock turns away helpers that wake only now.
+    std::unique_lock lock(block_mu_);
+    left_cv_.wait(lock, [this] { return joined_ == 0; });
+    published_ = nullptr;
+}
+
+void Device::helper_loop(int worker) {
+    std::vector<double>& scratch = scratch_[static_cast<std::size_t>(worker)];
+    std::uint64_t seen = 0;
+    std::unique_lock lock(block_mu_);
+    for (;;) {
+        block_cv_.wait(lock, [&] {
+            return helpers_stop_ || (published_ && launches_ != seen);
+        });
+        if (helpers_stop_) return;
+        seen = launches_;
+        const detail::Kernel& k = *published_;
+        ++joined_;
+        lock.unlock();
+        run_blocks(k, std::span<double>(scratch.data(), k.shared_doubles));
+        lock.lock();
+        if (--joined_ == 0) left_cv_.notify_one();
     }
 }
 
@@ -196,7 +286,7 @@ void Stream::memcpy_d2d(DeviceBuffer& dst, std::size_t dst_offset,
 }
 
 void Stream::launch(Dim3 grid, Dim3 block, std::size_t shared_doubles,
-                    std::function<void(Dim3, Dim3, std::span<double>)> body) {
+                    detail::BlockBody body) {
     device_->props().validate_launch(block, shared_doubles * sizeof(double));
     if (grid.x < 1 || grid.y < 1 || grid.z < 1)
         throw std::invalid_argument("launch: grid dimensions must be >= 1");
@@ -218,15 +308,7 @@ void Stream::launch(Dim3 grid, Dim3 block, std::size_t shared_doubles,
     op.trace_lane = trace::Lane::Gpu;
     op.trace_rank = trace::current_rank();
     op.trace_stream = state_->id;
-    op.run = [grid, block, shared_doubles, body = std::move(body)] {
-        std::vector<double> shared(shared_doubles);
-        for (int bz = 0; bz < grid.z; ++bz)
-            for (int by = 0; by < grid.y; ++by)
-                for (int bx = 0; bx < grid.x; ++bx) {
-                    std::fill(shared.begin(), shared.end(), 0.0);
-                    body(Dim3{bx, by, bz}, block, shared);
-                }
-    };
+    op.kernel = {grid, block, shared_doubles, std::move(body)};
     device_->enqueue(*state_, std::move(op));
 }
 

@@ -2,9 +2,10 @@
 /// \file device.hpp
 /// The simulated CUDA device: global memory buffers, constant memory,
 /// in-order streams with asynchronous host<->device copies, events, and
-/// kernel launches. A dedicated executor thread drains stream queues, so
-/// host code genuinely runs concurrently with "device" work — the property
-/// the paper's stream-overlap implementations (§IV-G, §IV-I) exploit.
+/// kernel launches. A dedicated executor thread drains stream queues one op
+/// at a time, so host code genuinely runs concurrently with "device" work —
+/// the property the paper's stream-overlap implementations (§IV-G, §IV-I)
+/// exploit.
 ///
 /// Kernels are written as *block-level* functors: the functor is invoked
 /// once per thread block and iterates over the block's threads internally
@@ -12,8 +13,18 @@
 /// memory operations). This preserves the CUDA decomposition — grid of
 /// blocks, per-block shared memory, block-size limits — without simulating
 /// half a million threads.
+///
+/// Like a real device's multiprocessors, the blocks of one multi-block
+/// kernel run concurrently: the executor and the device's helper threads
+/// (`workers - 1` of them) claim block indices from one shared counter, each
+/// with its own shared-memory scratch, and the executor completes the op
+/// only once every block has finished. Stream order, events and the one
+/// `kernel` trace span per launch are therefore unchanged; the contract a
+/// kernel must meet is that its blocks write disjoint memory.
 
+#include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -53,8 +64,20 @@ struct EventState {
     }
 };
 
+using BlockBody = std::function<void(Dim3 /*block_idx*/, Dim3 /*block_dim*/,
+                                     std::span<double> /*shared*/)>;
+
+/// A kernel launch as the executor runs it: `body` once per block of `grid`.
+struct Kernel {
+    Dim3 grid;
+    Dim3 block;
+    std::size_t shared_doubles = 0;
+    BlockBody body;
+};
+
 struct Op {
     std::function<void()> run;                 // executed on the device thread
+    Kernel kernel;                             // kernel ops: run is empty
     std::shared_ptr<EventState> gate;          // run only after gate completes
     std::shared_ptr<EventState> completion;    // marked done after run
     bool is_kernel = false;
@@ -146,11 +169,14 @@ class Stream {
 
     /// Launch a kernel: `body(block_idx, block, shared)` runs once per block
     /// of `grid`, with `shared` a zero-initialised per-block scratch of
-    /// `shared_bytes` doubles' worth of bytes (passed as a double span for
-    /// convenience; CUDA Fortran shared memory here is always REAL(8)).
+    /// `shared_doubles` doubles (passed as a double span for convenience;
+    /// CUDA Fortran shared memory here is always REAL(8)). Blocks of one
+    /// launch may run concurrently on the device's workers, in any order:
+    /// `body` must be safe to call from several threads at once, and no two
+    /// blocks may write overlapping memory. The op completes after every
+    /// block has finished.
     void launch(Dim3 grid, Dim3 block, std::size_t shared_doubles,
-                std::function<void(Dim3 /*block_idx*/, Dim3 /*block_dim*/,
-                                   std::span<double> /*shared*/)> body);
+                detail::BlockBody body);
 
     /// Record an event at the current tail of the stream.
     [[nodiscard]] Event record_event();
@@ -172,12 +198,18 @@ class Stream {
 /// a node's GPU) may create streams and enqueue work concurrently.
 class Device {
   public:
-    explicit Device(DeviceProps props);
+    /// `workers` >= 1 threads run the blocks of a multi-block kernel: the
+    /// executor plus `workers - 1` helper threads owned by the device.
+    explicit Device(DeviceProps props, int workers = 1);
     Device(const Device&) = delete;
     Device& operator=(const Device&) = delete;
     ~Device();
 
     [[nodiscard]] const DeviceProps& props() const { return props_; }
+    /// Threads that run a kernel's blocks, the executor included.
+    [[nodiscard]] int workers() const {
+        return static_cast<int>(scratch_.size());
+    }
 
     /// Allocate `count` doubles of global memory; throws std::bad_alloc-like
     /// std::runtime_error when the device capacity would be exceeded (the
@@ -204,7 +236,11 @@ class Device {
   private:
     friend class Stream;
     void enqueue(detail::StreamState& stream, detail::Op op);
+    void shut_down();
     void executor_loop();
+    void run_kernel(const detail::Kernel& k);
+    void run_blocks(const detail::Kernel& k, std::span<double> shared);
+    void helper_loop(int worker);
     [[nodiscard]] bool idle_locked() const;
 
     DeviceProps props_;
@@ -217,6 +253,22 @@ class Device {
     int next_stream_id_ = 0;
     std::size_t allocated_ = 0;
     bool stop_ = false;
+
+    // Block workers. The executor publishes a multi-block kernel in
+    // `published_`; helpers join it under `block_mu_` and claim blocks from
+    // `next_block_`. Worker w (the executor is 0) uses scratch_[w], which
+    // only the executor resizes, before publishing, so helpers never
+    // allocate.
+    std::vector<std::vector<double>> scratch_;
+    std::mutex block_mu_;
+    std::condition_variable block_cv_;  // helpers wake on a new launch
+    std::condition_variable left_cv_;   // executor waits for helpers to leave
+    const detail::Kernel* published_ = nullptr;
+    std::uint64_t launches_ = 0;        // publications so far
+    int joined_ = 0;                    // helpers inside the published kernel
+    bool helpers_stop_ = false;
+    std::atomic<long long> next_block_{0};
+    std::vector<std::jthread> helpers_;
     std::jthread executor_;
 };
 

@@ -1,7 +1,10 @@
 #include "impl/gpu_task.hpp"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <stdexcept>
+#include <thread>
 
 #include "core/stencil.hpp"
 
@@ -89,15 +92,26 @@ std::vector<core::Range3> boundary_shell_regions(core::Extents3 n,
     return core::partition_interior_boundary(n, depth).boundary;
 }
 
+int device_workers(const gpu::DeviceProps& props, int ndevices) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    const int cpus = sched_getaffinity(0, sizeof set, &set) == 0
+                         ? CPU_COUNT(&set)
+                         : static_cast<int>(std::thread::hardware_concurrency());
+    return std::clamp(cpus / std::max(ndevices, 1), 1,
+                      std::max(props.multiprocessors, 1));
+}
+
 DevicePool::DevicePool(const gpu::DeviceProps& props, int ntasks,
                        int tasks_per_gpu, const core::StencilCoeffs& coeffs)
     : tasks_per_gpu_(tasks_per_gpu) {
     if (tasks_per_gpu < 1)
         throw std::invalid_argument("DevicePool: tasks_per_gpu must be >= 1");
     const int ndev = (ntasks + tasks_per_gpu - 1) / tasks_per_gpu;
+    const int workers = device_workers(props, ndev);
     devices_.reserve(static_cast<std::size_t>(ndev));
     for (int d = 0; d < ndev; ++d) {
-        devices_.push_back(std::make_unique<gpu::Device>(props));
+        devices_.push_back(std::make_unique<gpu::Device>(props, workers));
         upload_coefficients(*devices_.back(), coeffs);
     }
 }

@@ -86,9 +86,15 @@ class GpuStaging {
 [[nodiscard]] std::vector<core::Range3> boundary_shell_regions(
     core::Extents3 n, int depth = 1);
 
+/// Block workers for each of `ndevices` simulated devices running at once in
+/// this process's job: the CPUs of the process's affinity mask shared among
+/// the devices, clamped to [1, props.multiprocessors].
+[[nodiscard]] int device_workers(const gpu::DeviceProps& props, int ndevices);
+
 /// A pool of simulated GPUs shared by MPI tasks on the same "node":
 /// rank r uses device r / tasks_per_gpu (§IV-F: "we can have more than one
-/// MPI task issuing calls to a particular GPU").
+/// MPI task issuing calls to a particular GPU"). The devices split the
+/// process's CPUs among their block workers (device_workers).
 class DevicePool {
   public:
     DevicePool(const gpu::DeviceProps& props, int ntasks, int tasks_per_gpu,

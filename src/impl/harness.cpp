@@ -127,7 +127,7 @@ SolveResult run_single_resident(const plan::StepPlan& plan,
     const auto& p = cfg.problem;
     const auto n = p.domain.extents();
 
-    gpu::Device device(cfg.gpu_props);
+    gpu::Device device(cfg.gpu_props, device_workers(cfg.gpu_props, 1));
     upload_coefficients(device, p.coeffs());
     std::vector<gpu::Stream> streams;
     for (int k = 0; k < plan.streams; ++k)

@@ -193,13 +193,16 @@ std::vector<std::uint8_t> socket_worker(const Implementation& entry,
              core::local_open_faces(cfg.problem.scenario, *decomp,
                                     comm.rank()),
              !cfg.problem.constant_coefficients()});
-        std::optional<DevicePool> pool;
+        std::optional<gpu::Device> own;
         gpu::Device* device = nullptr;
         if (plan.uses_gpu) {
             // Simulated devices are per process: this rank gets its own
-            // (tasks_per_gpu sharing is an in-process-only feature).
-            pool.emplace(cfg.gpu_props, 1, 1, cfg.problem.coeffs());
-            device = &pool->device_for_rank(0);
+            // (tasks_per_gpu sharing is an in-process-only feature), and
+            // the job's rank processes split the CPUs among their devices.
+            own.emplace(cfg.gpu_props,
+                        device_workers(cfg.gpu_props, comm.size()));
+            upload_coefficients(*own, cfg.problem.coeffs());
+            device = &*own;
         }
         RankOutcome out = run_plan_rank(plan, cfg, *decomp, comm, device);
         state = std::move(out.state);

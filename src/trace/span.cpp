@@ -10,7 +10,7 @@ namespace advect::trace {
 namespace detail {
 
 std::atomic<bool> g_enabled{false};
-thread_local int t_mute = 0;
+constinit thread_local int t_mute = 0;
 
 namespace {
 

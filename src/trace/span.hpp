@@ -51,7 +51,10 @@ struct Span {
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
-extern thread_local int t_mute;
+// constinit: the compiler knows there is no dynamic initializer, so other
+// translation units read the variable directly instead of through a TLS
+// wrapper call (which a UBSan build resolved to a null address).
+extern thread_local constinit int t_mute;
 }  // namespace detail
 
 /// Whether spans are being recorded on the calling thread. Inline relaxed

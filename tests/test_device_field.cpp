@@ -2,15 +2,19 @@
 // must reproduce the CPU stencil bitwise (arbitrary regions, blocks larger
 // than the domain, all device generations), the periodic-halo kernels must
 // match the host periodic fill, and the pack/unpack kernels must
-// interoperate with host-side staging.
+// interoperate with host-side staging. Kernels whose blocks run on several
+// device workers at once must give the same bits as one worker.
 
 #include <gtest/gtest.h>
+
+#include <sched.h>
 
 #include <algorithm>
 #include <random>
 
 #include "core/halo.hpp"
 #include "core/problem.hpp"
+#include "core/source.hpp"
 #include "core/stencil.hpp"
 #include "impl/device_field.hpp"
 #include "impl/gpu_task.hpp"
@@ -254,6 +258,7 @@ TEST(DevicePeriodicHalo, DeepHalosMatchHostFillPerDim) {
         auto expect = random_padded(n, depth, 40 + depth);
         impl::DeviceField d(dev, n, depth);
         upload(s, d, expect);
+        s.synchronize();  // the host fill below must not race the upload
         for (int dim = 0; dim < 3; ++dim) {
             launch_periodic_halo(s, d, dim, depth);
             core::fill_periodic_halo_dim(expect, dim, depth);
@@ -358,11 +363,124 @@ TEST(DevicePool, SharesDevicesAmongTasks) {
     impl::DevicePool pool(gpu::DeviceProps::tesla_c2050(), /*ntasks=*/6,
                           /*tasks_per_gpu=*/4, coeffs);
     EXPECT_EQ(pool.device_count(), 2);
+    // The two devices split the process's CPUs among their block workers.
+    EXPECT_EQ(pool.device_for_rank(0).workers(),
+              impl::device_workers(gpu::DeviceProps::tesla_c2050(), 2));
     EXPECT_EQ(&pool.device_for_rank(0), &pool.device_for_rank(3));
     EXPECT_NE(&pool.device_for_rank(3), &pool.device_for_rank(4));
     EXPECT_THROW(impl::DevicePool(gpu::DeviceProps::tesla_c2050(), 4, 0,
                                   coeffs),
                  std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Block workers: one launch's blocks run concurrently on four workers (the
+// count is explicit, so the helper path runs on a one-CPU host too) and the
+// result is bitwise the one-worker launch and the CPU sweep.
+
+/// n^3 with 32 x 8 blocks: 2 x 5 blocks, the last column and row partial.
+constexpr int kWorkersN = 36;
+
+core::SourceField mms_source(int n) {
+    core::AdvectionProblem p;
+    p.domain.n = n;
+    p.velocity = {1.0, 0.5, 0.25};
+    p.nu = 0.5 * core::max_stable_nu(p.velocity);
+    p.source.amp = 1.0;
+    return core::make_source_field(p);
+}
+
+/// The device result of `launch(stream, device, in, out)` from `host` on a
+/// c2050 with `workers` block workers, padded storage included.
+template <typename Launch>
+core::Field3 run_on_workers(int workers, const core::Field3& host,
+                            const core::StencilCoeffs& coeffs, Launch launch) {
+    gpu::Device dev(gpu::DeviceProps::tesla_c2050(), workers);
+    impl::upload_coefficients(dev, coeffs);
+    auto s = dev.create_stream();
+    const int hw = host.halo_width();
+    impl::DeviceField d_in(dev, host.extents(), hw);
+    impl::DeviceField d_out(dev, host.extents(), hw);
+    upload(s, d_in, host);
+    launch(s, dev, d_in, d_out);
+    return download(s, d_out);
+}
+
+bool raw_equal(const core::Field3& a, const core::Field3& b) {
+    return std::equal(a.raw().begin(), a.raw().end(), b.raw().begin(),
+                      b.raw().end());
+}
+
+TEST(BlockWorkers, StencilMatchesOneWorkerAndCpuBitwise) {
+    const core::Extents3 n{kWorkersN, kWorkersN, kWorkersN};
+    const auto coeffs = core::tensor_product_coeffs({1.0, 0.5, 0.25}, 0.5);
+    ASSERT_EQ(core::StencilPlan::make(coeffs, 8, 40).terms, 27);
+    const auto host = random_padded(n, 1, 60);
+    for (bool with_source : {false, true}) {
+        const impl::GpuSource msrc =
+            with_source ? impl::GpuSource{mms_source(kWorkersN), {0, 0, 0}, 2}
+                        : impl::GpuSource{};
+        auto launch = [&](gpu::Stream& s, gpu::Device& dev,
+                          const impl::DeviceField& in, impl::DeviceField& out) {
+            impl::launch_stencil(s, dev, in, out, host.interior(), 32, 8,
+                                 msrc);
+        };
+        const auto one = run_on_workers(1, host, coeffs, launch);
+        const auto four = run_on_workers(4, host, coeffs, launch);
+        EXPECT_TRUE(raw_equal(one, four)) << "source " << with_source;
+
+        core::Field3 expect(n);
+        core::apply_stencil(coeffs, host, expect);
+        if (with_source)
+            core::add_source(expect, msrc.field, {0, 0, 0}, expect.interior(),
+                             msrc.level);
+        EXPECT_TRUE(four.interior_equals(expect)) << "source " << with_source;
+    }
+}
+
+TEST(BlockWorkers, FusedMatchesOneWorkerAndCpuBitwise) {
+    const core::Extents3 n{kWorkersN, kWorkersN, kWorkersN};
+    const auto coeffs = core::tensor_product_coeffs({1.0, 0.5, 0.25}, 0.5);
+    const auto sf = mms_source(kWorkersN);
+    for (int fuse : {2, 3}) {
+        auto cur = random_padded(n, fuse, 70 + fuse);
+        core::fill_periodic_halo(cur);
+        const impl::GpuSource msrc{sf, {0, 0, 0}, 1};
+        auto launch = [&](gpu::Stream& s, gpu::Device& dev,
+                          const impl::DeviceField& in, impl::DeviceField& out) {
+            impl::launch_stencil_fused(s, dev, in, out, cur.interior(), 32, 8,
+                                       fuse, msrc);
+        };
+        const auto one = run_on_workers(1, cur, coeffs, launch);
+        const auto four = run_on_workers(4, cur, coeffs, launch);
+        EXPECT_TRUE(raw_equal(one, four)) << "fuse " << fuse;
+
+        core::Field3 nxt(n, fuse);
+        for (int step = 0; step < fuse; ++step) {
+            core::apply_stencil(coeffs, cur, nxt);
+            core::add_source(nxt, sf, {0, 0, 0}, nxt.interior(),
+                             msrc.level + step);
+            core::fill_periodic_halo(nxt);
+            cur.swap(nxt);
+        }
+        EXPECT_TRUE(four.interior_equals(cur)) << "fuse " << fuse;
+    }
+}
+
+TEST(DeviceWorkers, SplitsTheAffinityCpusAmongDevices) {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    ASSERT_EQ(sched_getaffinity(0, sizeof set, &set), 0);
+    const int cpus = CPU_COUNT(&set);
+    const auto props = gpu::DeviceProps::tesla_c2050();  // 14 SMs
+    EXPECT_EQ(impl::device_workers(props, 1),
+              std::min(cpus, props.multiprocessors));
+    EXPECT_EQ(impl::device_workers(props, 2),
+              std::clamp(cpus / 2, 1, props.multiprocessors));
+    EXPECT_EQ(impl::device_workers(props, cpus + 1), 1);
+    auto one_sm = props;
+    one_sm.multiprocessors = 1;
+    EXPECT_EQ(impl::device_workers(one_sm, 1), 1);
 }
 
 }  // namespace

@@ -1,17 +1,22 @@
 // Tests for the simulated CUDA device: buffers and memory accounting,
 // stream FIFO ordering, cross-stream independence and event
 // synchronization, kernel launch geometry and validation, constant memory,
-// and multi-threaded (multi-task) enqueueing.
+// multi-threaded (multi-task) enqueueing, and the block workers that run
+// one kernel's blocks concurrently.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <limits>
 #include <numeric>
 #include <thread>
 #include <vector>
 
+#include "chaos/inject.hpp"
 #include "gpu/device.hpp"
 
+namespace chaos = advect::chaos;
 namespace gpu = advect::gpu;
 
 namespace {
@@ -113,8 +118,8 @@ TEST(Stream, FifoOrderWithinStream) {
     EXPECT_EQ(back[0], 32.0);
 }
 
-TEST(Stream, KernelVisitsEveryBlockOnce) {
-    gpu::Device dev(gpu::DeviceProps::tesla_c2050());
+void kernel_visits_every_block_once(int workers) {
+    gpu::Device dev(gpu::DeviceProps::tesla_c2050(), workers);
     auto s = dev.create_stream();
     const gpu::Dim3 grid{5, 4, 3};
     std::vector<std::atomic<int>> hits(5 * 4 * 3);
@@ -128,11 +133,11 @@ TEST(Stream, KernelVisitsEveryBlockOnce) {
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(Stream, SharedMemoryZeroedPerBlock) {
-    gpu::Device dev(gpu::DeviceProps::tesla_c2050());
+void shared_memory_zeroed_per_block(int workers) {
+    gpu::Device dev(gpu::DeviceProps::tesla_c2050(), workers);
     auto s = dev.create_stream();
     std::atomic<bool> dirty{false};
-    s.launch({4, 1, 1}, {1, 1, 1}, 16,
+    s.launch({32, 1, 1}, {1, 1, 1}, 16,
              [&dirty](gpu::Dim3, gpu::Dim3, std::span<double> shared) {
                  ASSERT_EQ(shared.size(), 16u);
                  for (double v : shared)
@@ -141,6 +146,94 @@ TEST(Stream, SharedMemoryZeroedPerBlock) {
              });
     s.synchronize();
     EXPECT_FALSE(dirty.load());
+}
+
+TEST(Stream, KernelVisitsEveryBlockOnce) { kernel_visits_every_block_once(1); }
+
+TEST(Stream, SharedMemoryZeroedPerBlock) { shared_memory_zeroed_per_block(1); }
+
+// The block-worker tests construct four workers explicitly, so the helper
+// path runs even on a one-CPU host.
+TEST(BlockWorkers, KernelVisitsEveryBlockOnce) {
+    kernel_visits_every_block_once(4);
+}
+
+TEST(BlockWorkers, SharedMemoryZeroedPerBlock) {
+    shared_memory_zeroed_per_block(4);
+}
+
+TEST(BlockWorkers, RejectsZeroWorkers) {
+    EXPECT_THROW(gpu::Device(gpu::DeviceProps::tesla_c2050(), 0),
+                 std::invalid_argument);
+}
+
+TEST(BlockWorkers, BlocksRunConcurrentlyAndStreamOrderHolds) {
+    // Two blocks that each wait for the other can only finish when both
+    // run at once. Block 1 (usually a helper's: the executor claims first)
+    // then writes late, and the copy behind the kernel must still see it.
+    gpu::Device dev(gpu::DeviceProps::tesla_c2050(), 4);
+    EXPECT_EQ(dev.workers(), 4);
+    auto s = dev.create_stream();
+    auto buf = dev.alloc(2);
+    std::atomic<int> arrived{0};
+    s.launch({2, 1, 1}, {1, 1, 1}, 0,
+             [buf, &arrived](gpu::Dim3 b, gpu::Dim3,
+                             std::span<double>) mutable {
+                 arrived++;
+                 while (arrived.load() < 2) std::this_thread::yield();
+                 if (b.x == 1)
+                     std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                 buf.span()[static_cast<std::size_t>(b.x)] = b.x + 1.0;
+             });
+    std::vector<double> back(2);
+    s.memcpy_d2h(back, buf, 0);
+    s.synchronize();
+    EXPECT_EQ(back, (std::vector<double>{1.0, 2.0}));
+}
+
+TEST(BlockWorkers, GpuSlowKernelCompletesAfterItsOccupancy) {
+    chaos::FaultPlan plan;
+    plan.seed = 5;
+    chaos::FaultRule slow;
+    slow.kind = chaos::FaultKind::GpuSlow;
+    slow.step_lo = std::numeric_limits<int>::min();
+    slow.amplitude_us = 20000.0;
+    slow.max_fires = 1;
+    plan.rules.push_back(slow);
+    chaos::Session session(plan);
+
+    gpu::Device dev(gpu::DeviceProps::tesla_c2050(), 4);
+    auto s = dev.create_stream();
+    std::atomic<int> blocks{0};
+    const auto t0 = std::chrono::steady_clock::now();
+    s.launch({8, 8, 1}, {8, 8, 1}, 0,
+             [&blocks](gpu::Dim3, gpu::Dim3, std::span<double>) {
+                 blocks++;
+             });
+    const auto done = s.record_event();
+    done.synchronize();
+    const double us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    EXPECT_EQ(blocks.load(), 64);
+    const auto log = session.log();
+    ASSERT_EQ(log.size(), 1u);
+    EXPECT_EQ(log[0].kind, chaos::FaultKind::GpuSlow);
+    EXPECT_GE(us, log[0].amount_us);
+}
+
+TEST(BlockWorkers, DeviceWithIdleHelpersIsDestroyed) {
+    // Helpers that never ran a block, and helpers parked after one launch,
+    // both join when the device goes away.
+    for (int round = 0; round < 8; ++round) {
+        gpu::Device dev(gpu::DeviceProps::tesla_c2050(), 4);
+        if (round % 2 == 1) {
+            auto s = dev.create_stream();
+            s.launch({4, 2, 1}, {1, 1, 1}, 8,
+                     [](gpu::Dim3, gpu::Dim3, std::span<double>) {});
+        }
+    }
+    SUCCEED();
 }
 
 TEST(Stream, LaunchValidatesAgainstDevice) {
