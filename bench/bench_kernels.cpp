@@ -127,6 +127,32 @@ void BM_StencilRows(benchmark::State& state) {
 }
 BENCHMARK(BM_StencilRows)->Arg(48)->Arg(64);
 
+/// The paper sweep's 27-term stencil (velocity (1, .5, .25), nu = 0.5) over
+/// an nx x 32 x 16 box: 128-point rows are whole 32-point blocks, 126 are
+/// the §IV-C/D interior rows of a 128^3 rank, 130 the first level of a
+/// fused F = 2 tile. Tracks the row-remainder path of the kernel.
+void BM_StencilRows27(benchmark::State& state) {
+    const int nx = static_cast<int>(state.range(0));
+    const core::Extents3 n{nx, 32, 16};
+    core::Field3 cur(n, 1.0);
+    core::Field3 nxt(n);
+    const auto a = core::tensor_product_coeffs({1.0, 0.5, 0.25}, 0.5);
+    const int flops =
+        core::flops_per_point(core::StencilPlan::make(a, cur).terms);
+    core::fill_periodic_halo(cur);
+    const core::RowSpace rows({cur.interior()});
+    for (auto _ : state) {
+        core::apply_stencil_rows(a, cur, nxt, rows, 0, rows.size());
+        benchmark::DoNotOptimize(nxt.raw().data());
+    }
+    const auto points = static_cast<std::int64_t>(n.volume());
+    state.SetItemsProcessed(state.iterations() * points);
+    state.counters["GF"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) * points * flops,
+        benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
+}
+BENCHMARK(BM_StencilRows27)->Arg(126)->Arg(128)->Arg(130)->UseRealTime();
+
 void BM_CopyRows(benchmark::State& state) {
     const int n = static_cast<int>(state.range(0));
     core::Field3 src({n, n, n}, 1.0);

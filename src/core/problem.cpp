@@ -1,5 +1,6 @@
 #include "core/problem.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "core/halo.hpp"
@@ -16,13 +17,21 @@ AdvectionProblem AdvectionProblem::standard(int n) {
     return p;
 }
 
-std::size_t total_flops(std::size_t points, int steps) {
-    return points * static_cast<std::size_t>(steps) *
-           static_cast<std::size_t>(kFlopsPerPoint);
+int AdvectionProblem::stencil_terms() const {
+    if (!constant_coefficients()) return 27;
+    const StencilCoeffs a = coeffs();
+    return static_cast<int>(std::count_if(
+        a.a.begin(), a.a.end(), [](double c) { return c != 0.0; }));
 }
 
-double gflops(std::size_t points, int steps, double seconds) {
-    return static_cast<double>(total_flops(points, steps)) / seconds / 1e9;
+std::size_t total_flops(std::size_t points, int steps, int flops) {
+    return points * static_cast<std::size_t>(steps) *
+           static_cast<std::size_t>(flops);
+}
+
+double gflops(std::size_t points, int steps, double seconds, int flops) {
+    return static_cast<double>(total_flops(points, steps, flops)) / seconds /
+           1e9;
 }
 
 SourceField make_source_field(const AdvectionProblem& p) {

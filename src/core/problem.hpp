@@ -49,6 +49,10 @@ struct AdvectionProblem {
     [[nodiscard]] bool constant_coefficients() const {
         return scenario.constant_velocity();
     }
+    /// Terms the stencil actually sums per point: the nonzero entries of
+    /// `coeffs()` (StencilPlan compacts the rest away), or all 27 when the
+    /// coefficients vary per cell.
+    [[nodiscard]] int stencil_terms() const;
     /// Per-cell coefficient evaluator for variable-velocity scenarios.
     [[nodiscard]] CoeffField coeff_field() const {
         return {velocity_field(), nu, domain.delta()};
@@ -68,11 +72,13 @@ struct AdvectionProblem {
 [[nodiscard]] BoundaryField make_boundary_field(const AdvectionProblem& p);
 
 /// Total floating-point operations for `points` grid points over `steps`
-/// steps (53 flops per point per step, paper §II).
-[[nodiscard]] std::size_t total_flops(std::size_t points, int steps);
+/// steps at `flops` per point per step (53 by default, paper §II).
+[[nodiscard]] std::size_t total_flops(std::size_t points, int steps,
+                                      int flops = kFlopsPerPoint);
 
 /// Performance in GF (1e9 flop/s) given measured (or modelled) seconds.
-[[nodiscard]] double gflops(std::size_t points, int steps, double seconds);
+[[nodiscard]] double gflops(std::size_t points, int steps, double seconds,
+                            int flops = kFlopsPerPoint);
 
 /// Reference solution: single-threaded, single-task stepping of the full
 /// domain (periodic halo fill + stencil + state swap). All nine

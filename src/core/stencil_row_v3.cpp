@@ -5,6 +5,8 @@
 /// stencil.cpp. Same source body, same operation order, so results are
 /// bitwise-identical to the reference — only the vector width differs.
 
+#include <type_traits>
+
 #include "core/stencil.hpp"
 
 namespace advect::core::detail {

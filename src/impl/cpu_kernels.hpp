@@ -38,9 +38,10 @@ void stencil_var_parallel(advect::omp::ThreadTeam& team,
                           advect::omp::Schedule schedule =
                               advect::omp::Schedule::Static);
 
-/// Step 3: copy the new state back to the current state over `rows`
-/// (the paper copies rather than swapping buffers in the CPU
-/// implementations; we reproduce that).
+/// Step 3 over part of the box: copy the new state back to the current
+/// state over `rows` (the cpu_gpu_* walls). The paper's CPU codes copy the
+/// whole box too; the plan executor runs that case as a buffer swap, and
+/// the model prices the copy per machine (MachineSpec::copy_bytes_per_point).
 void copy_parallel(advect::omp::ThreadTeam& team, const core::Field3& src,
                    core::Field3& dst, const core::RowSpace& rows);
 

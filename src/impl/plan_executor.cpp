@@ -143,6 +143,17 @@ PlanExecutor::PlanExecutor(const plan::StepPlan& plan, ExecContext ctx)
     for (std::size_t i = 0; i < plan.tasks.size(); ++i) {
         const auto& t = plan.tasks[i];
         if (t.op != plan::Op::Stencil && t.op != plan::Op::Copy) continue;
+        // Step 3 over the whole box as the step's last task: nothing reads
+        // `nxt` before the next step's stencil overwrites every point of it,
+        // so exchanging the storage moves the same interior bits as the
+        // copy. The halo the swap brings along is refilled before any
+        // stencil reads it (exchange, periodic fill or boundary fill).
+        if (t.op == plan::Op::Copy && i + 1 == plan.tasks.size() &&
+            ctx_.nxt != nullptr && t.payload.regions.size() == 1 &&
+            t.payload.regions[0] == ctx_.cur->interior()) {
+            swap_task_ = static_cast<int>(i);
+            continue;
+        }
         std::vector<core::Range3> regs;
         for (const auto& r : t.payload.regions)
             if (!r.empty()) regs.push_back(r);
@@ -336,8 +347,11 @@ void PlanExecutor::run_team_stages() {
         }
     });
 
+    const double swap0 = tracing ? trace::now() : 0.0;
+    if (swap_task_ >= 0) ctx_.cur->swap(*ctx_.nxt);
+
     if (!tracing) return;
-    stage_end[nstages - 1] = trace::now();
+    stage_end[nstages - 1] = swap0;
     const int rank = trace::current_rank();
     if (master_task_ >= 0) {
         const plan::Task& m = plan_->tasks[static_cast<std::size_t>(
@@ -352,6 +366,11 @@ void PlanExecutor::run_team_stages() {
         const plan::Task& t = plan_->tasks[stages_[s]];
         trace::record(t.name, "plan", t.lane, start, stage_end[s], rank);
         start = stage_end[s];
+    }
+    if (swap_task_ >= 0) {
+        const plan::Task& c = plan_->tasks[static_cast<std::size_t>(
+            swap_task_)];
+        trace::record(c.name, "plan", c.lane, swap0, trace::now(), rank);
     }
 }
 
@@ -471,7 +490,10 @@ void PlanExecutor::run_task(const plan::Task& task, std::size_t index) {
             }
             break;
         case plan::Op::Copy:
-            copy_parallel(*ctx_.team, *ctx_.nxt, *ctx_.cur, rows);
+            if (static_cast<int>(index) == swap_task_)
+                ctx_.cur->swap(*ctx_.nxt);
+            else
+                copy_parallel(*ctx_.team, *ctx_.nxt, *ctx_.cur, rows);
             break;
         case plan::Op::HostPack:
             ctx_.staging->pack_inbound(*ctx_.cur);

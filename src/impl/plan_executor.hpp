@@ -113,6 +113,10 @@ class PlanExecutor {
     std::size_t scratch_stride_ = 0;    ///< doubles per thread in scratch_
     std::vector<std::size_t> stages_;   ///< TeamStages: Stencil/Copy tasks
     int master_task_ = -1;              ///< TeamStages: MasterExchange task
+    /// The whole-box Copy closing the step, run as an O(1) exchange of the
+    /// cur/nxt storage (TeamStages: after the region joins); -1 when the
+    /// plan has none (cpu_gpu_* copy their walls row by row).
+    int swap_task_ = -1;
     int step_ = 0;  ///< steps completed; the chaos injection coordinate
 };
 

@@ -165,6 +165,10 @@ MachineSpec MachineSpec::localhost() {
     m.intra_node_bw_gbs = 4.0;
     m.mpi_progress = 0.80;
     m.overlap_call_us = 0.5;
+    // The plan executor runs the whole-box Step 3 as a buffer swap, so
+    // this host moves no bytes for it (the paper machines keep the 16 B/pt
+    // of their Fortran copy).
+    m.copy_bytes_per_point = 0.0;
     // The simulated GPU (docs/ARCHITECTURE.md) executes on host threads;
     // price it like the C2050 it models so GPU-implementation jobs are
     // admittable on a host with no physical device.

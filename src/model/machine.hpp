@@ -117,8 +117,9 @@ struct MachineSpec {
     double boundary_eff = 0.8;
     /// Bytes per point of the Step 3 new-to-current copy (§IV-A). The
     /// paper's CPU implementations copy (16 B/pt: read + write); its GPU
-    /// kernels flip arguments instead. Set to 0 to model a buffer-swap CPU
-    /// variant (see bench_ablation_copy).
+    /// kernels flip arguments instead. 0 models a buffer swap: localhost()
+    /// sets it, because this library's executor swaps (see also
+    /// bench_ablation_copy).
     double copy_bytes_per_point = 16.0;
 
     // --- calibrated network rates ---------------------------------------

@@ -51,7 +51,11 @@ enum class Op {
     BoundaryFill,  ///< open-boundary halo overwrite of payload.dim's open
                    ///< faces, staged after that dim's exchange/fill (cpu)
     Stencil,     ///< Equation 2 over payload.regions (cpu)
-    Copy,        ///< new-state -> current-state copy over payload.regions
+    Copy,        ///< §IV-A Step 3: new state -> current state over
+                 ///< payload.regions. The model prices it per machine
+                 ///< (copy_bytes_per_point); the executor runs a
+                 ///< step-closing copy of the whole box as a cur/nxt
+                 ///< storage swap and any other region as a row copy.
     HostPack,    ///< host packs staging buffer from field regions (cpu)
     HostUnpack,  ///< host scatters staging buffer into field regions (cpu)
     CopyH2D,     ///< staging buffer PCIe transfer to the device

@@ -393,7 +393,7 @@ void Daemon::run() {
                 fds.push_back({conns_[i].fd, ev, 0});
                 conn_of_fd.push_back(i);
             }
-            const bool idle = scheduler_.empty() && !draining_;
+            const bool idle = !dispatch_ready() && !draining_;
             int rc;
             do {
                 rc = ::poll(fds.data(), fds.size(), idle ? 100 : 0);
@@ -431,7 +431,7 @@ void Daemon::run() {
             }
         }
 
-        if (!scheduler_.empty()) {
+        if (dispatch_ready()) {
             dispatch_one();
             continue;
         }

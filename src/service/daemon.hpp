@@ -39,6 +39,12 @@ struct DaemonConfig {
     /// Admission cost oracle; defaults to the (possibly calibrated)
     /// localhost machine.
     CostOracle oracle;
+    /// Dispatch barrier: hold every job in the queue until this many jobs
+    /// have been admitted, or until a drain arrives; then dispatch as
+    /// usual. A drill that submits a known batch sets it to the batch size
+    /// so fair share sees every tenant backlogged, however fast the first
+    /// jobs would have run. 0 dispatches from the first admission on.
+    std::uint64_t dispatch_after = 0;
 };
 
 class Daemon {
@@ -107,6 +113,12 @@ class Daemon {
     void flush_all_blocking(double timeout_s);
     void close_conn(std::size_t conn_index);
     [[nodiscard]] double now_s() const;
+    /// A job is queued and the dispatch barrier is open (job ids count
+    /// admissions, so next_id_ is the number admitted so far).
+    [[nodiscard]] bool dispatch_ready() const {
+        return !scheduler_.empty() &&
+               (next_id_ >= cfg_.dispatch_after || draining_);
+    }
 
     DaemonConfig cfg_;
     AdmissionController admission_;

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -108,11 +109,24 @@ GameDayOutcome run_game_day(const GameDayConfig& cfg) {
             cfg.weights[static_cast<std::size_t>(i) % cfg.weights.size()]);
     }
 
+    // Jobs per tenant, in weight proportion.
+    std::vector<int> target(tenants.size());
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+        target[i] = std::max(1, static_cast<int>(std::lround(
+                                    weights[i] * cfg.jobs_per_weight)));
+        total += static_cast<std::uint64_t>(target[i]);
+    }
+
     DaemonConfig dc;
     dc.socket_path = socket_path;
     dc.queue_capacity = cfg.queue_capacity;
     dc.max_batch = cfg.max_batch;
     dc.gameday = cfg.scenario;
+    // Dispatch nothing until the whole drill is queued: otherwise the first
+    // tenants' jobs can run before the last tenant has submitted, and the
+    // fair-share window measures the submit race, not the scheduler.
+    dc.dispatch_after = total;
     for (std::size_t i = 0; i < tenants.size(); ++i)
         dc.tenant_weights.emplace_back(tenants[i], weights[i]);
     // One job = one DRR quantum at weight 1, so rounds serve jobs in
@@ -156,12 +170,7 @@ GameDayOutcome run_game_day(const GameDayConfig& cfg) {
 
         // Interleave submissions round-robin so every tenant is backlogged
         // from the first scheduling rounds on.
-        std::vector<int> target(tenants.size());
         std::vector<int> submitted(tenants.size(), 0);
-        for (std::size_t i = 0; i < tenants.size(); ++i)
-            target[i] = std::max(
-                1, static_cast<int>(std::lround(weights[i] *
-                                                cfg.jobs_per_weight)));
         std::vector<std::vector<std::uint64_t>> ids(tenants.size());
         bool more = true;
         while (more) {

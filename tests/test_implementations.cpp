@@ -9,6 +9,8 @@
 #include <cmath>
 
 #include "core/problem.hpp"
+#include "core/scenario.hpp"
+#include "core/stencil.hpp"
 #include "impl/registry.hpp"
 
 namespace core = advect::core;
@@ -28,6 +30,37 @@ void expect_matches_reference(const impl::SolverConfig& cfg,
     const auto ref = core::run_reference(cfg.problem, cfg.steps);
     EXPECT_TRUE(result.state.interior_equals(ref))
         << "state differs from the single-task reference";
+}
+
+// ---------------------------------------------------------------------------
+// GF accounting.
+
+TEST(SolveResultGf, CountsTheFlopsThatRan) {
+    // One second over 10^3 points and 4 steps: GF = 4e3 * flops / 1e9.
+    impl::SolveResult r;
+    r.wall_seconds = 1.0;
+    auto cfg = base_config(10, 4);
+    // The Courant-1 shift compacts to one term: 1 flop per point.
+    ASSERT_EQ(cfg.problem.stencil_terms(), 1);
+    EXPECT_DOUBLE_EQ(r.gf(cfg), 4e3 * 1 / 1e9);
+    // The paper sweep keeps all 27 terms: 53 flops per point (§II).
+    cfg.problem.velocity = {1.0, 0.5, 0.25};
+    cfg.problem.nu = 0.5;
+    ASSERT_EQ(cfg.problem.stencil_terms(), 27);
+    EXPECT_DOUBLE_EQ(r.gf(cfg), 4e3 * 53 / 1e9);
+    // The count is the plan's: zero coefficients are what StencilPlan drops.
+    for (const core::Velocity3 v :
+         {core::Velocity3{1.0, 1.0, 1.0}, core::Velocity3{1.0, 0.0, 0.5},
+          core::Velocity3{1.0, 0.5, 0.25}}) {
+        cfg.problem.velocity = v;
+        cfg.problem.nu = core::max_stable_nu(v);
+        const core::Field3 shape({4, 4, 4});
+        EXPECT_EQ(cfg.problem.stencil_terms(),
+                  core::StencilPlan::make(cfg.problem.coeffs(), shape).terms);
+    }
+    // Variable coefficients always sum 27 terms.
+    cfg.problem.scenario = core::scenario_by_name("rotating");
+    EXPECT_EQ(cfg.problem.stencil_terms(), 27);
 }
 
 // ---------------------------------------------------------------------------

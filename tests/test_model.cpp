@@ -91,6 +91,20 @@ TEST(CpuCost, CommTimeStructure) {
     EXPECT_LT(small_b / small_a, 1.01);
 }
 
+TEST(CpuCost, StepThreeCopyIsFreeOnlyWhereTheRuntimeSwaps) {
+    // The executor on this host swaps the cur/nxt storage; the paper
+    // machines' Fortran copies 16 B/pt, and their model keeps pricing it.
+    const std::size_t pts = 1'000'000;
+    EXPECT_EQ(model::cpu_copy_time(model::MachineSpec::localhost(), pts, 2),
+              0.0);
+    EXPECT_GT(model::cpu_copy_time(model::MachineSpec::jaguarpf(), pts, 2),
+              0.0);
+    for (const auto& m :
+         {model::MachineSpec::jaguarpf(), model::MachineSpec::hopper2(),
+          model::MachineSpec::lens(), model::MachineSpec::yona()})
+        EXPECT_EQ(m.copy_bytes_per_point, 16.0) << m.name;
+}
+
 TEST(GpuCost, BlockFitLimits) {
     const auto& lens = *model::MachineSpec::lens().gpu;
     EXPECT_TRUE(model::block_fits(lens, 32, 11));   // (34)(13)=442 <= 512

@@ -15,7 +15,12 @@
 #include <vector>
 
 #include "core/decomposition.hpp"
+#include "core/initial.hpp"
+#include "impl/exchange.hpp"
+#include "impl/plan_executor.hpp"
 #include "impl/registry.hpp"
+#include "msg/comm.hpp"
+#include "omp/thread_team.hpp"
 #include "plan/builders.hpp"
 #include "sched/node_model.hpp"
 #include "sched/report.hpp"
@@ -24,6 +29,8 @@
 namespace core = advect::core;
 namespace impl = advect::impl;
 namespace model = advect::model;
+namespace msg = advect::msg;
+namespace omp = advect::omp;
 namespace plan = advect::plan;
 namespace sched = advect::sched;
 namespace trace = advect::trace;
@@ -178,5 +185,157 @@ TEST(PlanParity, PlanForMatchesRankPlan) {
         EXPECT_EQ(p.validate_error(), "");
         EXPECT_EQ(entry.uses_gpu, p.uses_gpu) << entry.id;
         EXPECT_EQ(entry.uses_mpi, p.uses_comm) << entry.id;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Step 3 as a buffer swap: the executor runs the whole-box `copy` that closes
+// the §IV-A..D steps as an exchange of the cur/nxt storage, and keeps real
+// row copies for partial regions (the cpu_gpu_* walls).
+
+namespace {
+
+/// The 27-term sweep (velocity (1, .5, .25), nu = 0.5) at n^3: no stencil
+/// coefficient is zero, and the interior rows of the overlap variants end in
+/// a remainder the 32-point blocks do not cover.
+core::AdvectionProblem sweep_problem(int n) {
+    core::AdvectionProblem p = core::AdvectionProblem::standard(n);
+    p.velocity = {1.0, 0.5, 0.25};
+    p.nu = 0.5;
+    return p;
+}
+
+constexpr const char* kHostPlans[] = {"single_task", "mpi_bulk",
+                                      "mpi_nonblocking", "mpi_thread_overlap"};
+
+}  // namespace
+
+TEST(StepSwap, HostPlansMatchReferenceAtOddAndEvenSteps) {
+    for (const char* id : kHostPlans) {
+        const impl::Implementation& entry = impl::find_implementation(id);
+        // fuse 2 over 5 steps runs two fused super-steps and one step of the
+        // remainder plan, whose executor shares the swapped fields.
+        for (const int fuse : {1, 2})
+            for (const int steps : {5, 6}) {
+                SCOPED_TRACE(std::string(id) + " fuse " +
+                             std::to_string(fuse) + " steps " +
+                             std::to_string(steps));
+                impl::SolverConfig cfg;
+                cfg.problem = sweep_problem(20);
+                cfg.steps = steps;
+                cfg.ntasks = entry.uses_mpi ? 2 : 1;
+                cfg.threads_per_task = 2;
+                cfg.fuse = fuse;
+                const impl::SolveResult r = entry.solve(cfg);
+                EXPECT_TRUE(r.state.interior_equals(
+                    core::run_reference(cfg.problem, steps)));
+            }
+    }
+}
+
+TEST(StepSwap, ExecutorExchangesStorageEveryStep) {
+    // One rank driven step by step: after every step `cur` holds the
+    // reference state in the other buffer, so a silent return to copying
+    // (the pointers would stay put) fails here. mpi_thread_overlap covers
+    // the TeamStages path, where the swap runs after the region joins.
+    const core::AdvectionProblem p = sweep_problem(12);
+    const core::Extents3 n = p.domain.extents();
+    for (const char* id : kHostPlans) {
+        SCOPED_TRACE(id);
+        const plan::StepPlan pl = plan::build_step_plan(id, {n, 1});
+        impl::SolverConfig cfg;
+        cfg.problem = p;
+        const core::StencilCoeffs coeffs = p.coeffs();
+        core::Field3 cur(n);
+        core::Field3 nxt(n);
+        core::fill_initial(cur, p.domain, p.wave);
+        omp::ThreadTeam team(2);
+        msg::World world(1);
+        msg::Communicator comm(world, 0);
+        impl::HaloExchange exchange(core::make_decomposition(n, 1), 0);
+        impl::ExecContext ctx;
+        ctx.cfg = &cfg;
+        ctx.coeffs = &coeffs;
+        ctx.cur = &cur;
+        ctx.nxt = &nxt;
+        ctx.team = &team;
+        ctx.comm = &comm;
+        ctx.exchange = &exchange;
+        impl::PlanExecutor exec(pl, ctx);
+        const double* first = cur.raw().data();
+        const double* second = nxt.raw().data();
+        for (int s = 1; s <= 4; ++s) {
+            exec.run_step();
+            EXPECT_EQ(cur.raw().data(), s % 2 == 1 ? second : first)
+                << "step " << s;
+            EXPECT_EQ(nxt.raw().data(), s % 2 == 1 ? first : second)
+                << "step " << s;
+            EXPECT_TRUE(cur.interior_equals(core::run_reference(p, s)))
+                << "step " << s;
+        }
+    }
+}
+
+TEST(StepSwap, PartialCopyCopiesRowsInPlace) {
+    // A copy over part of the box (cpu_gpu_*'s copy_walls) must stay a row
+    // copy: the storage stays put and points outside the region keep the
+    // current state.
+    const core::Extents3 n{6, 5, 4};
+    const core::Range3 wall{{0, 0, 0}, {6, 5, 1}};
+    plan::StepPlan pl;
+    pl.impl_id = "partial_copy";
+    pl.local = n;
+    plan::Task t;
+    t.name = "copy_walls";
+    t.op = plan::Op::Copy;
+    t.lane = trace::Lane::Cpu;
+    t.payload.regions = {wall};
+    t.payload.points = wall.volume();
+    pl.tasks.push_back(t);
+    pl.terminal = 0;
+
+    core::Field3 cur(n, 1.0);
+    core::Field3 nxt(n, 2.0);
+    omp::ThreadTeam team(2);
+    impl::ExecContext ctx;
+    ctx.cur = &cur;
+    ctx.nxt = &nxt;
+    ctx.team = &team;
+    impl::PlanExecutor exec(pl, ctx);
+    const double* before = cur.raw().data();
+    exec.run_step();
+    EXPECT_EQ(cur.raw().data(), before);
+    for (int k = 0; k < n.nz; ++k)
+        for (int j = 0; j < n.ny; ++j)
+            for (int i = 0; i < n.nx; ++i)
+                EXPECT_EQ(cur(i, j, k), k < 1 ? 2.0 : 1.0)
+                    << i << "," << j << "," << k;
+}
+
+TEST(StepSwap, CpuGpuPlansKeepCopyingTheirWalls) {
+    // §IV-H/I copy only the CPU walls back (the device block arrives from
+    // the device), so their copy_walls task is a partial row copy.
+    for (const char* id : {"cpu_gpu_bulk", "cpu_gpu_overlap"}) {
+        const plan::StepPlan pl =
+            plan::build_step_plan(id, {{16, 16, 16}, 2});
+        const int cw = pl.find("copy_walls");
+        ASSERT_GE(cw, 0) << id;
+        const auto& regions =
+            pl.tasks[static_cast<std::size_t>(cw)].payload.regions;
+        const core::Range3 box{{0, 0, 0}, {16, 16, 16}};
+        EXPECT_FALSE(regions.size() == 1 && regions[0] == box) << id;
+        impl::SolverConfig cfg;
+        cfg.problem = sweep_problem(16);
+        cfg.steps = 5;
+        cfg.ntasks = 2;
+        cfg.threads_per_task = 2;
+        cfg.box_thickness = 2;
+        cfg.block_x = 8;
+        cfg.block_y = 4;
+        const impl::SolveResult r =
+            impl::find_implementation(id).solve(cfg);
+        EXPECT_TRUE(r.state.interior_equals(
+            core::run_reference(cfg.problem, cfg.steps)))
+            << id;
     }
 }

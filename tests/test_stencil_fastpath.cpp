@@ -86,12 +86,15 @@ TEST(StencilPlan, RowKernelBitwiseMatchesStencilPoint) {
     Rng rng(11);
     std::uniform_int_distribution<int> thin(1, 4);
     std::uniform_int_distribution<int> survivors(1, 27);
-    for (int nx = 1; nx <= 80; ++nx) {
-        // Every row length up to 80 reaches the 32-point block, the 8-point
-        // block, the scalar tail and each seam between them (31/32/33,
-        // 39/40/41, 63/64/65, 71, ...); ny, nz include 1-wide extents.
+    constexpr double kGuard = -7.5;
+    for (int nx = 1; nx <= 136; ++nx) {
+        // Every row length up to 136 reaches the 32-point blocks, the
+        // overlapped final 32-point block, the 8-point blocks, the
+        // overlapped final 8-point block, the scalar tail and each seam
+        // between them (31/32/33, 39/40/41, 55/56/57, 126/128/130, ...);
+        // ny, nz include 1-wide extents.
         const core::Extents3 n{nx, thin(rng), thin(rng)};
-        core::Field3 in(n), out(n, 0.0), ref(n, 0.0);
+        core::Field3 in(n), out(n, 1, kGuard), ref(n, 0.0);
         fill_random(in, rng);
         auto a = random_coeffs(rng);
         // Every other length runs a compacted plan (down to the single
@@ -107,6 +110,13 @@ TEST(StencilPlan, RowKernelBitwiseMatchesStencilPoint) {
                                             out.ptr(0, j, k), n.nx);
         reference_apply(a, in, ref, in.interior());
         expect_bitwise_region(out, ref, in.interior());
+        // The overlapped final blocks never store outside [0, nx): the
+        // guard cells on both ends of every row keep their value.
+        for (int k = 0; k < n.nz; ++k)
+            for (int j = 0; j < n.ny; ++j) {
+                EXPECT_EQ(out(-1, j, k), kGuard) << "nx " << nx;
+                EXPECT_EQ(out(nx, j, k), kGuard) << "nx " << nx;
+            }
     }
 }
 

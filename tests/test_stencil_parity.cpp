@@ -6,9 +6,11 @@
 /// clone, matches core::stencil_point (constant coefficients) and
 /// core::stencil_var_point (per-cell coefficients) bit for bit. These tests
 /// force the portable build against the dispatched fast path on identical
-/// inputs and memcmp the raw bytes, across every row length from 1 to 80:
-/// the 32-point block, the 8-point block, the scalar remainder, and each
-/// seam between them.
+/// inputs and memcmp the raw bytes, across every row length from 1 to 136:
+/// the 32-point blocks, the overlapped final 32-point block, the 8-point
+/// blocks, the overlapped final 8-point block, the scalar remainder, and
+/// each seam between them. Guard cells around every output row prove that
+/// no store leaves the row.
 
 #include <gtest/gtest.h>
 
@@ -48,12 +50,16 @@ core::Field3 random_field(core::Extents3 n, std::uint32_t seed) {
     return f;
 }
 
-/// Row lengths 1..80: every split into 32-point blocks, 8-point blocks and
-/// a scalar tail up to two full wide blocks, including the seams 31/32/33,
-/// 39/40/41, 63/64/65 and 71.
+/// Longest row the sweeps test: four full 32-point blocks and a remainder.
+constexpr int kMaxLen = 136;
+
+/// Row lengths 1..136: every split into 32-point blocks, an overlapped final
+/// 32-point block, 8-point blocks, an overlapped final 8-point block and a
+/// scalar tail up to four full wide blocks, including the seams 31/32/33,
+/// 39/40/41, 55/56/57, 63/64/65 and the paper sweep's 126/128/130.
 std::vector<int> row_lengths() {
     std::vector<int> v;
-    for (int len = 1; len <= 80; ++len) v.push_back(len);
+    for (int len = 1; len <= kMaxLen; ++len) v.push_back(len);
     return v;
 }
 
@@ -62,13 +68,29 @@ bool same_bytes(const double* a, const double* b, int n) {
            0;
 }
 
+/// An output row of `len` points with kGuardCells sentinel cells on both
+/// sides; row() is where the kernel writes.
+constexpr int kGuardCells = 8;
+struct GuardedRow {
+    std::vector<double> buf;
+    double fill;
+    GuardedRow(int len, double v)
+        : buf(static_cast<std::size_t>(len + 2 * kGuardCells), v), fill(v) {}
+    double* row() { return buf.data() + kGuardCells; }
+    /// True when every guard cell still holds the fill value.
+    [[nodiscard]] bool guards_intact() const {
+        const std::size_t n = buf.size();
+        for (std::size_t g = 0; g < kGuardCells; ++g)
+            if (buf[g] != fill || buf[n - 1 - g] != fill) return false;
+        return true;
+    }
+};
+
 }  // namespace
 
 TEST(StencilParity, DispatchedRowMatchesPortableBitwise) {
-    // Every blocked/remainder split up to 80, plus a long row.
-    std::vector<int> lengths = row_lengths();
-    lengths.push_back(129);
-    const core::Extents3 n{144, 3, 3};
+    // Every blocked/remainder split up to 136.
+    const core::Extents3 n{kMaxLen + 8, 3, 3};
     const auto a = test_coeffs();
     const auto in = random_field(n, 77);
     const auto plan = core::StencilPlan::make(a, in);
@@ -77,22 +99,24 @@ TEST(StencilParity, DispatchedRowMatchesPortableBitwise) {
                      ? "dispatched path: AVX2 clone"
                      : "dispatched path: portable baseline");
 
-    for (int len : lengths) {
-        std::vector<double> fast(static_cast<std::size_t>(len), -1.0);
-        std::vector<double> portable(static_cast<std::size_t>(len), -2.0);
+    for (int len : row_lengths()) {
+        GuardedRow fast(len, -1.0);
+        GuardedRow portable(len, -2.0);
         const double* centre = in.ptr(2, 1, 1);
-        core::apply_stencil_row_ptr(plan, centre, fast.data(), len);
+        core::apply_stencil_row_ptr(plan, centre, fast.row(), len);
         core::detail::apply_stencil_row_portable(plan, centre,
-                                                 portable.data(), len);
-        EXPECT_TRUE(same_bytes(fast.data(), portable.data(), len))
+                                                 portable.row(), len);
+        EXPECT_TRUE(same_bytes(fast.row(), portable.row(), len))
             << "fast and portable rows differ bitwise at length " << len;
+        EXPECT_TRUE(fast.guards_intact()) << "store outside row " << len;
+        EXPECT_TRUE(portable.guards_intact()) << "store outside row " << len;
     }
 }
 
 TEST(StencilParity, PlaneKernelMatchesReferencePointBitwise) {
     // Three rows per call, the output rows padded apart so a store past a
     // row's end would show up in the gap.
-    const core::Extents3 n{80, 3, 3};
+    const core::Extents3 n{kMaxLen, 3, 3};
     const auto a = test_coeffs();
     const auto in = random_field(n, 31);
     const auto plan = core::StencilPlan::make(a, in);
@@ -126,7 +150,7 @@ TEST(StencilParity, VarRowMatchesStencilVarPointBitwise) {
                      ? "dispatched path: AVX2 clone"
                      : "dispatched path: portable baseline");
     constexpr int kXlo = 3;
-    const core::Extents3 n{kXlo + 80, 3, 3};
+    const core::Extents3 n{kXlo + kMaxLen, 3, 3};
     const core::Index3 origin{5, 7, 2};
     const auto in = random_field(n, 1234);
     const std::ptrdiff_t sj = in.x_stride();
@@ -143,14 +167,19 @@ TEST(StencilParity, VarRowMatchesStencilVarPointBitwise) {
             const double* coeff = cache.row(j, k) + kXlo;
             const double* centre = in.ptr(kXlo, j, k);
             for (int len : row_lengths()) {
-                std::vector<double> fast(static_cast<std::size_t>(len), -1.0);
-                std::vector<double> portable(static_cast<std::size_t>(len),
-                                             -2.0);
+                GuardedRow fast_row(len, -1.0);
+                GuardedRow portable_row(len, -2.0);
+                const double* fast = fast_row.row();
+                const double* portable = portable_row.row();
                 core::apply_stencil_var_row(coeff, cache.term_stride(), centre,
-                                            fast.data(), len, sj, sk);
+                                            fast_row.row(), len, sj, sk);
                 core::detail::apply_stencil_var_row_portable(
-                    coeff, cache.term_stride(), centre, portable.data(), len,
-                    sj, sk);
+                    coeff, cache.term_stride(), centre, portable_row.row(),
+                    len, sj, sk);
+                EXPECT_TRUE(fast_row.guards_intact())
+                    << "store outside var row " << len;
+                EXPECT_TRUE(portable_row.guards_intact())
+                    << "store outside var row " << len;
                 for (int i = 0; i < len; ++i) {
                     const core::StencilCoeffs a = cf.at(
                         origin.i + kXlo + i, origin.j + j, origin.k + k);

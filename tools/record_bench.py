@@ -49,6 +49,7 @@ TRACKED = (
     "BM_StencilSweepFused",
     "BM_StencilSweepVar",
     "BM_StencilRows",
+    "BM_StencilRows27",
     "BM_CopyRows",
     "BM_PeriodicHaloFill",
     "BM_HaloFillParallel",
